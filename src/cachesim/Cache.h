@@ -60,12 +60,18 @@ public:
 private:
   CacheConfig Config;
   uint64_t NumSets;
-  // Per set: list of (tag, lastUse); linear scan is fine at these sizes.
+  /// When the line size and the set count are powers of two (the usual
+  /// geometry), the set/tag split is shifts and a mask.
+  bool Pow2 = false;
+  unsigned LineShift = 0, SetShift = 0;
+  // Set S holds Fill[S] lines (tag, lastUse) at Lines[S * Associativity];
+  // a linear scan is fine at these associativities.
   struct Line {
     uint64_t Tag;
     uint64_t LastUse;
   };
-  std::vector<std::vector<Line>> Sets;
+  std::vector<Line> Lines;
+  std::vector<unsigned> Fill;
   uint64_t Clock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;

@@ -166,16 +166,19 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
                 "request line " + LineId + " contains an embedded NUL byte");
 
   // A deadline can expire before the request is even looked at (queue
-  // wait under load); every later check sits on a stage boundary.
+  // wait under load); every later check sits on a stage boundary, except
+  // inside the search, which polls it per work unit.
+  auto deadlineRecord = [&](const std::string &Id, const std::string &When) {
+    Out.Error = true;
+    Out.ErrorKind = errkind::Deadline;
+    Out.Record = makeErrorRecord(EO.ToolName, Id, errkind::Deadline,
+                                 "deadline exceeded " + When);
+  };
   auto deadlineExpired = [&](const char *BeforeStage,
                              const std::string &Id) -> bool {
     if (!DL || !DL->expired())
       return false;
-    Out.Error = true;
-    Out.ErrorKind = errkind::Deadline;
-    Out.Record = makeErrorRecord(
-        EO.ToolName, Id, errkind::Deadline,
-        std::string("deadline exceeded before stage '") + BeforeStage + "'");
+    deadlineRecord(Id, std::string("before stage '") + BeforeStage + "'");
     return true;
   };
   if (deadlineExpired("parse", LineId))
@@ -250,8 +253,14 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
     SO.TopK = Req.TopK;
     // One thread per request: the engine parallelizes across requests.
     SO.Threads = 1;
+    if (DL && DL->armed())
+      SO.Cancelled = [DL] { return DL->expired(); };
     search::SearchResult SR =
         timed(Sampler, Stage::Plan, [&] { return P.searchAuto(Nest, SO); });
+    if (SR.Cancelled) {
+      deadlineRecord(Req.Id, "during stage 'plan'");
+      return Out;
+    }
     if (!SR.Error.empty())
       return fail(std::move(Out), EO, Req.Id, errkind::Search,
                   "auto: " + SR.Error);

@@ -130,10 +130,11 @@ inline constexpr const char *Internal = "internal";      ///< worker exception
 
 /// A per-request cancellation deadline, checked at stage boundaries:
 /// a request whose deadline has passed is cut off *between* stages with
-/// a structured "deadline" error record - stages themselves always run
-/// to completion, so no partial state ever escapes. Deadlines are the
-/// serve path's tool; the batch driver never sets one (it would break
-/// byte-identical replay).
+/// a structured "deadline" error record. The one stage that can run long,
+/// an auto request's search, also polls it before every work unit and
+/// stops inside the plan stage; a cancelled search is discarded whole, so
+/// no partial state ever escapes. Deadlines are the serve path's tool; the
+/// batch driver never sets one (it would break byte-identical replay).
 class DeadlineToken {
 public:
   using Clock = std::chrono::steady_clock;

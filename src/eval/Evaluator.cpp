@@ -12,7 +12,6 @@
 
 #include <cassert>
 #include <chrono>
-#include <cmath>
 
 using namespace irlt;
 
@@ -77,12 +76,12 @@ public:
     if (FIt != Config.Funcs.end())
       return FIt->second(Args);
     if (Name == "sqrt") {
-      assert(Args.size() == 1 && Args[0] >= 0 && "sqrt of negative value");
-      return static_cast<int64_t>(std::sqrt(static_cast<double>(Args[0])));
+      assert(Args.size() == 1);
+      return isqrtChecked(Args[0]);
     }
     if (Name == "abs") {
       assert(Args.size() == 1);
-      return std::abs(Args[0]);
+      return Args[0] < 0 ? negChecked(Args[0]) : Args[0];
     }
     if (Name == "sgn") {
       assert(Args.size() == 1);

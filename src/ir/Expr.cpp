@@ -261,7 +261,7 @@ int64_t Expr::evaluate(const ExprEnv &Env) const {
     case Kind::Add:
       return addChecked(L, R);
     case Kind::Sub:
-      return addChecked(L, -R);
+      return subChecked(L, R);
     case Kind::Mul:
       return mulChecked(L, R);
     case Kind::Div:

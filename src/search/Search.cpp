@@ -235,6 +235,23 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
   if (N == 0)
     return R;
 
+  // Once cancellation fires, every later work unit returns at once and
+  // the search reports Cancelled at its next merge point.
+  std::atomic<bool> Stopped{false};
+  auto cancelled = [&] {
+    if (Stopped.load(std::memory_order_relaxed))
+      return true;
+    if (!Opts.Cancelled || !Opts.Cancelled())
+      return false;
+    Stopped.store(true, std::memory_order_relaxed);
+    return true;
+  };
+  auto cancel = [] {
+    SearchResult C;
+    C.Cancelled = true;
+    return C;
+  };
+
   std::unique_ptr<CostModel> CM;
   if (Opts.Obj != Objective::Parallelism) {
     CostModelOptions CO;
@@ -246,6 +263,8 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
       R.Error = CM->unusableReason();
       return R;
     }
+    if (cancelled())
+      return cancel();
     if (!CM->baseline()) {
       R.Error = "cost model cannot execute the source nest under the "
                 "chosen parameter bindings";
@@ -263,7 +282,8 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
   auto finishAll = [&](const std::vector<BeamState> &States) {
     std::vector<LeafEval> Evals(States.size());
     parallelFor(States.size(), Threads, [&](size_t I) {
-      Evals[I] = finishState(States[I], Nest, D, Opts, CM.get());
+      if (!cancelled()) // before the leaf's measurement
+        Evals[I] = finishState(States[I], Nest, D, Opts, CM.get());
     });
     for (LeafEval &E : Evals) {
       if (E.AnalyzerPruned)
@@ -291,6 +311,8 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     std::vector<BeamState> RootVec;
     RootVec.push_back(std::move(Root));
     std::vector<LeafEval> Evals = finishAll(RootVec);
+    if (Stopped)
+      return cancel();
     RootVec[0].Cost = Evals[0].StateCost;
     if (Evals[0].StateAlive)
       Frontier.push_back(std::move(RootVec[0]));
@@ -334,6 +356,8 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
           1);
       const BeamState &St = Frontier[I];
       const TemplateRef &T = CandsByN.at(St.OutN)[P - Offset[I]];
+      if (cancelled())
+        return;
       OverflowGuard Guard;
       std::optional<ErrorOr<NestTypeState>> MT = mapTypes(*T, St.Types);
       if (Guard.triggered() || !MT || !*MT)
@@ -355,6 +379,8 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
       NS.OutN = T->outputSize();
       PairSlots[P] = std::move(NS);
     });
+    if (Stopped)
+      return cancel();
 
     // Deterministic merge in (frontier, candidate) order; peephole-
     // equivalent states (same canonical key, at this or any earlier
@@ -379,6 +405,8 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     // Finish every fresh state (cost + leaf confirmation), then keep the
     // best Beam of them as the next frontier.
     std::vector<LeafEval> Evals = finishAll(Fresh);
+    if (Stopped)
+      return cancel();
     std::vector<BeamState> Next;
     for (size_t I = 0; I < Fresh.size(); ++I) {
       if (!Evals[I].StateAlive)

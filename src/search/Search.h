@@ -54,6 +54,7 @@
 #include "transform/Sequence.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -95,6 +96,12 @@ struct SearchOptions {
   std::map<std::string, int64_t> CostParams;
   CacheConfig Cache{8 * 1024, 64, 4};
   uint64_t MaxTraceInstances = 1'000'000;
+  /// Cooperative cancellation (e.g. a request deadline). When set, it is
+  /// polled before every work unit - each (state, candidate) expansion and
+  /// each leaf measurement - and once it returns true the search stops
+  /// and reports SearchResult::Cancelled. Unset, the search never stops
+  /// early and its result is fully deterministic.
+  std::function<bool()> Cancelled;
 };
 
 /// One ranked candidate sequence (includes any trailing Parallelize).
@@ -134,6 +141,9 @@ struct SearchResult {
   /// Non-empty when the search could not run at all (e.g. a locality
   /// objective on a nest the cost model cannot execute).
   std::string Error;
+  /// SearchOptions::Cancelled fired: the search stopped early, and every
+  /// other field is incomplete.
+  bool Cancelled = false;
 };
 
 /// Searches for a legal transformation sequence of \p Nest (dependence

@@ -15,6 +15,7 @@
 #define IRLT_SUPPORT_MATHUTILS_H
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -32,11 +33,16 @@ inline uint64_t magnitude(int64_t A) {
 }
 
 inline int64_t negChecked(int64_t A);
+inline void recordDivByZero();
 
 /// Floor division: rounds the quotient toward negative infinity.
 /// floorDiv(7, 2) == 3, floorDiv(-7, 2) == -4, floorDiv(7, -2) == -4.
+/// Division by zero follows the OverflowGuard policy and yields 0.
 inline int64_t floorDiv(int64_t A, int64_t B) {
-  assert(B != 0 && "floorDiv by zero");
+  if (B == 0) {
+    recordDivByZero();
+    return 0;
+  }
   if (B == -1) // -INT64_MIN traps in hardware; negChecked saturates.
     return negChecked(A);
   int64_t Q = A / B;
@@ -48,7 +54,10 @@ inline int64_t floorDiv(int64_t A, int64_t B) {
 
 /// Ceiling division: rounds the quotient toward positive infinity.
 inline int64_t ceilDiv(int64_t A, int64_t B) {
-  assert(B != 0 && "ceilDiv by zero");
+  if (B == 0) {
+    recordDivByZero();
+    return 0;
+  }
   if (B == -1)
     return negChecked(A);
   int64_t Q = A / B;
@@ -61,7 +70,10 @@ inline int64_t ceilDiv(int64_t A, int64_t B) {
 /// Floor modulus: result has the same sign as \p B (Fortran MODULO).
 /// floorMod(-7, 2) == 1.
 inline int64_t floorMod(int64_t A, int64_t B) {
-  assert(B != 0 && "floorMod by zero");
+  if (B == 0) {
+    recordDivByZero();
+    return 0;
+  }
   if (B == -1) // exactly zero for every A, including INT64_MIN
     return 0;
   return A - floorDiv(A, B) * B;
@@ -72,7 +84,8 @@ inline int64_t gcd(int64_t A, int64_t B);
 
 /// Scoped overflow trap for coefficient arithmetic. While a guard is
 /// alive on the current thread, addChecked/mulChecked record overflow
-/// here and return a saturated value instead of asserting; the caller
+/// here and return a saturated value instead of asserting (division by
+/// zero and isqrtChecked of a negative value record too); the caller
 /// checks triggered() at a clean boundary (a legality stage, a bounds
 /// pipeline step) and degrades to a structured "arithmetic overflow"
 /// rejection. Guards nest; the innermost one records. Without an active
@@ -133,6 +146,26 @@ inline int64_t addChecked(int64_t A, int64_t B) {
   return R;
 }
 
+/// Subtracts with overflow checking; same guard/assert policy as
+/// mulChecked.
+inline int64_t subChecked(int64_t A, int64_t B) {
+  int64_t R;
+  bool Overflow = __builtin_sub_overflow(A, B, &R);
+  if (Overflow) {
+    [[maybe_unused]] bool Handled = OverflowGuard::record();
+    assert(Handled && "integer overflow in coefficient arithmetic");
+    return A >= 0 ? INT64_MAX : INT64_MIN;
+  }
+  return R;
+}
+
+/// Records a division (or modulus) by zero on the innermost live guard
+/// (the caller then yields 0); asserts when no guard is live.
+inline void recordDivByZero() {
+  [[maybe_unused]] bool Handled = OverflowGuard::record();
+  assert(Handled && "division by zero");
+}
+
 /// Negates with overflow checking (only -INT64_MIN overflows); same
 /// guard/assert policy as mulChecked.
 inline int64_t negChecked(int64_t A) {
@@ -142,6 +175,18 @@ inline int64_t negChecked(int64_t A) {
     return INT64_MAX;
   }
   return -A;
+}
+
+/// Integer square root of the evaluator's `sqrt` builtin (truncated
+/// double sqrt). A negative argument follows the OverflowGuard policy and
+/// yields 0.
+inline int64_t isqrtChecked(int64_t A) {
+  if (A < 0) {
+    [[maybe_unused]] bool Handled = OverflowGuard::record();
+    assert(Handled && "sqrt of negative value");
+    return 0;
+  }
+  return static_cast<int64_t>(std::sqrt(static_cast<double>(A)));
 }
 
 /// Greatest common divisor; gcd(0, 0) == 0, always non-negative. Runs on

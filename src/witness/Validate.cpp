@@ -9,6 +9,7 @@
 #include "cgen/NativeCheck.h"
 #include "eval/Verify.h"
 #include "fuzz/Fuzzer.h"
+#include "support/MathUtils.h"
 
 #include <functional>
 
@@ -107,13 +108,25 @@ CandidateOutcome irlt::witness::validateCandidate(
   }
 
   bool SawBudget = false;
+  std::string Fault;
   unsigned Passed = 0;
   for (const auto &Binding : Opts.Bindings) {
     EvalConfig C;
     C.Params = Binding;
     C.MaxInstances = Opts.MaxInstances;
     C.WallBudgetMillis = Opts.WallBudgetMillis;
+    // An arithmetic fault (overflow, division by zero, sqrt of a negative
+    // value) is a property of the program under this binding, not of the
+    // candidate: no verdict either way.
+    OverflowGuard Guard;
     VerifyResult V = verifyTransformed(Nest, *Out, C);
+    if (Guard.triggered()) {
+      if (Fault.empty())
+        Fault = "binding " + bindingStr(Binding) +
+                ": evaluation faulted (arithmetic overflow, division by "
+                "zero or sqrt of a negative value)";
+      continue;
+    }
     if (V.Ok) {
       ++Passed;
       continue;
@@ -126,6 +139,13 @@ CandidateOutcome irlt::witness::validateCandidate(
     R.Detail = "binding " + bindingStr(Binding) + ": " + V.Problem;
     R.Why = Diag::error(V.Problem).inTemplate("validate");
     R.ReproPath = dumpDisproof(Nest, Seq, R, bindingStr(Binding), Opts);
+    return R;
+  }
+
+  // A faulting program cannot be compared natively either.
+  if (!Fault.empty()) {
+    R.Status = ValidateStatus::Inconclusive;
+    R.Detail = Fault;
     return R;
   }
 

@@ -19,7 +19,9 @@
 ///                  the disproof is dumped as a replayable reproducer in
 ///                  the fuzzer's trio format;
 ///   Inconclusive - no binding disproved the candidate but at least one
-///                  ran out of budget before finishing.
+///                  ran out of budget before finishing, or faulted
+///                  (overflow, division by zero, sqrt of a negative
+///                  value: the OverflowGuard policy).
 ///
 /// validateLadder() strings the verdicts into graceful degradation:
 /// candidates are tried best-first, a Disproved candidate falls through

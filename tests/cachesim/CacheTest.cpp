@@ -40,6 +40,20 @@ TEST(CacheSim, AssociativityKeepsBothWays) {
   EXPECT_TRUE(C.access(128));  // most recent lines survive
 }
 
+TEST(CacheSim, NonPowerOfTwoSetCount) {
+  // 3 sets x 3 ways x 64B lines: the set index is the line number mod 3.
+  CacheSim C(CacheConfig{576, 64, 3});
+  for (uint64_t Line : {0, 3, 6}) // fill set 0
+    EXPECT_FALSE(C.access(Line * 64));
+  EXPECT_FALSE(C.access(1 * 64)); // set 1 leaves set 0 alone
+  EXPECT_TRUE(C.access(0));
+  EXPECT_FALSE(C.access(9 * 64)); // set 0 again: evicts line 3, its LRU
+  EXPECT_TRUE(C.access(6 * 64));
+  EXPECT_FALSE(C.access(3 * 64));
+  EXPECT_EQ(C.hits(), 2u);
+  EXPECT_EQ(C.misses(), 6u);
+}
+
 TEST(CacheSim, Reset) {
   CacheSim C(CacheConfig{128, 64, 2});
   C.access(0);

@@ -124,6 +124,38 @@ TEST(BatchTool, MalformedRequestExitsTwoWithErrorRecord) {
   ASSERT_NE(V->find("error"), nullptr);
 }
 
+TEST(BatchTool, ArithmeticFaultsGiveRecordsNotSignals) {
+  // Division by zero in the cost model and in validation, and sqrt of a
+  // negative value, once aborted the whole process.
+  const char *Div = R"("nest": "arrays b, c\ndo i = 1, n\n  do j = 1, n\n    a(i, j) = b(i, j) / c(j, i)\n  enddo\nenddo\n")";
+  std::string Text =
+      std::string(R"({"id": "div", )") + Div +
+      R"(, "auto": "locality", "beam": 2, "depth": 1})" "\n" +
+      R"({"id": "div-validate", )" + Div +
+      R"(, "script": "interchange 1 2", "validate": 1000})" "\n" +
+      R"({"id": "sqrt", "nest": "arrays b\ndo i = 1, n\n  a(i) = sqrt(b(i) - 1)\nenddo\n", "auto": "locality"})"
+      "\n" +
+      R"({"id": "after", "nest": "do i = 1, n\n  a(i) = a(i) + 1\nenddo\n", "auto": "locality", "beam": 2, "depth": 1})"
+      "\n";
+  RunResult R = runBatch(writeCorpus("faults", Text));
+  EXPECT_EQ(R.ExitCode, 2) << R.Output;
+  std::vector<std::string> Records = lines(R.Output);
+  ASSERT_EQ(Records.size(), 4u) << R.Output;
+  const char *Ids[] = {"div", "div-validate", "sqrt", "after"};
+  const bool Ok[] = {false, true, false, true};
+  for (size_t I = 0; I < Records.size(); ++I) {
+    ErrorOr<json::JsonValue> V = json::JsonValue::parse(Records[I]);
+    ASSERT_TRUE(static_cast<bool>(V)) << Records[I];
+    EXPECT_EQ(V->stringOr("id"), Ids[I]);
+    EXPECT_EQ(V->boolOr("ok", !Ok[I]), Ok[I]) << Records[I];
+  }
+  EXPECT_NE(Records[0].find("\"kind\":\"search\""), std::string::npos);
+  EXPECT_NE(Records[1].find("\"status\":\"inconclusive\""), std::string::npos)
+      << Records[1];
+  EXPECT_NE(Records[1].find("evaluation faulted"), std::string::npos);
+  EXPECT_NE(Records[2].find("\"kind\":\"search\""), std::string::npos);
+}
+
 TEST(BatchTool, StatsGoToStderrAsMetricsRecord) {
   std::string Path = writeCorpus("stats", Corpus);
   RunResult Clean = runBatch(Path + " --jobs 2 --stats");

@@ -2,6 +2,7 @@
 
 #include "eval/Evaluator.h"
 #include "ir/Parser.h"
+#include "support/MathUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -88,6 +89,32 @@ TEST(Evaluator, BuiltinFunctions) {
   ArrayStore S;
   evaluate(N, C, S);
   EXPECT_EQ(S.read("a", {1}), 4 + 3 - 1);
+}
+
+TEST(Evaluator, FaultsRecordOnTheGuard) {
+  // Division by zero, sqrt of a negative value and |INT64_MIN| record on
+  // the live guard and yield 0 (or saturate) instead of aborting.
+  const char *Faulting[] = {
+      "arrays b, c\ndo i = 1, 2\n  a(i) = b(i) / c(i)\nenddo\n",
+      "arrays b\ndo i = 1, 2\n  a(i) = mod(i, b(i))\nenddo\n",
+      "arrays b\ndo i = 1, 2\n  a(i) = sqrt(b(i) - 1)\nenddo\n",
+      "do i = 1, 2\n  a(i) = abs(0 - 9223372036854775807 - i)\nenddo\n",
+  };
+  for (const char *Src : Faulting) {
+    LoopNest N = parse(Src);
+    EvalConfig C;
+    ArrayStore S;
+    OverflowGuard Guard;
+    EvalResult R = evaluate(N, C, S);
+    EXPECT_TRUE(Guard.triggered()) << Src;
+    EXPECT_EQ(R.Instances.size(), 2u) << Src;
+  }
+  LoopNest N = parse(Faulting[0]);
+  EvalConfig C;
+  ArrayStore S;
+  OverflowGuard Guard;
+  evaluate(N, C, S);
+  EXPECT_EQ(S.read("a", {1}), 0);
 }
 
 TEST(Evaluator, AccessTraceWithOwners) {

@@ -1,6 +1,7 @@
 //===- tests/ir/ExprTest.cpp -----------------------------------------------===//
 
 #include "ir/Expr.h"
+#include "support/MathUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,43 @@ TEST(Expr, EvaluateArithmetic) {
   EXPECT_EQ(Expr::minE({Expr::var("i"), Expr::intConst(10)})->evaluate(Env),
             7);
   EXPECT_EQ(Expr::call("twice", {Expr::var("i")})->evaluate(Env), 14);
+}
+
+TEST(Expr, SubtractionIsChecked) {
+  TestEnv Env;
+  Env.Vars = {{"x", INT64_MIN}, {"y", INT64_MAX}};
+  // 5 - INT64_MIN does not fit; negating the right operand first would
+  // itself overflow and slip past the guard.
+  {
+    OverflowGuard Guard;
+    EXPECT_EQ(Expr::sub(Expr::intConst(5), Expr::var("x"))->evaluate(Env),
+              INT64_MAX);
+    EXPECT_TRUE(Guard.triggered());
+  }
+  {
+    OverflowGuard Guard;
+    EXPECT_EQ(Expr::sub(Expr::intConst(-5), Expr::var("y"))->evaluate(Env),
+              INT64_MIN);
+    EXPECT_TRUE(Guard.triggered());
+  }
+  {
+    OverflowGuard Guard;
+    EXPECT_EQ(Expr::sub(Expr::intConst(-1), Expr::var("x"))->evaluate(Env),
+              INT64_MAX);
+    EXPECT_EQ(Expr::sub(Expr::var("x"), Expr::var("x"))->evaluate(Env), 0);
+    EXPECT_FALSE(Guard.triggered());
+  }
+}
+
+TEST(Expr, DivisionByZeroFollowsTheGuardPolicy) {
+  TestEnv Env;
+  Env.Vars = {{"i", 7}, {"z", 0}};
+  OverflowGuard Guard;
+  EXPECT_EQ(Expr::floorDivE(Expr::var("i"), Expr::var("z"))->evaluate(Env), 0);
+  EXPECT_TRUE(Guard.triggered());
+  Guard.reset();
+  EXPECT_EQ(Expr::modE(Expr::var("i"), Expr::var("z"))->evaluate(Env), 0);
+  EXPECT_TRUE(Guard.triggered());
 }
 
 TEST(Expr, CeilDivByConst) {

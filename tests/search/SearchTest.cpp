@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 using namespace irlt;
 using namespace irlt::search;
 
@@ -148,6 +150,44 @@ TEST(Search, ResultIsThreadCountInvariant) {
     EXPECT_EQ(RA.Stats.Leaves, RB.Stats.Leaves);
     EXPECT_EQ(RA.Stats.Legal, RB.Stats.Legal);
   }
+}
+
+TEST(Search, CancellationStopsBetweenWorkUnits) {
+  LoopNest Nest = matmulNest();
+  DepSet D = analyzeDependences(Nest);
+  SearchOptions Opts;
+  Opts.Obj = Objective::Locality;
+  Opts.Beam = 2;
+  Opts.Depth = 2;
+  Opts.Threads = 4;
+  SearchResult Plain = searchTransformations(Nest, D, Opts);
+  ASSERT_TRUE(Plain.Best.has_value());
+
+  // A predicate that never fires is polled once per unit and changes
+  // nothing.
+  std::atomic<unsigned> Polls{0};
+  Opts.Cancelled = [&] {
+    ++Polls;
+    return false;
+  };
+  SearchResult Polled = searchTransformations(Nest, D, Opts);
+  EXPECT_FALSE(Polled.Cancelled);
+  ASSERT_TRUE(Polled.Best.has_value());
+  EXPECT_EQ(Polled.Best->Key, Plain.Best->Key);
+  EXPECT_EQ(Polled.Stats.Enumerated, Plain.Stats.Enumerated);
+  EXPECT_EQ(Polled.Stats.Legal, Plain.Stats.Legal);
+  // Baseline, then one poll per finished state and per expansion pair.
+  EXPECT_GE(Polls.load(), 1 + Plain.Stats.Enumerated);
+
+  // Firing part-way stops the search with nothing reported.
+  unsigned Budget = Polls.load() / 2;
+  std::atomic<unsigned> Seen{0};
+  Opts.Cancelled = [&] { return ++Seen > Budget; };
+  SearchResult Cut = searchTransformations(Nest, D, Opts);
+  EXPECT_TRUE(Cut.Cancelled);
+  EXPECT_FALSE(Cut.Best.has_value());
+  EXPECT_TRUE(Cut.Top.empty());
+  EXPECT_LT(Seen.load(), Polls.load());
 }
 
 TEST(Search, CanonicalKeysDedupePeepholeEquivalentPrefixes) {

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -394,6 +395,50 @@ TEST(Server, ExpiredDeadlineCancelsWithStructuredRecord) {
     ASSERT_TRUE(static_cast<bool>(P)) << P.message();
     EXPECT_NE(P->find("\"kind\":\"deadline\""), std::string::npos) << *P;
     EXPECT_NE(P->find("\"id\":\"dl\""), std::string::npos);
+  }
+  S.requestDrain();
+  EXPECT_TRUE(S.run());
+  EXPECT_EQ(S.stats().Deadline.load(), 1u);
+}
+
+TEST(Server, DeadlineCancelsSearchInsidePlanStage) {
+  ServeOptions O;
+  O.SocketPath = sockPath("plan-deadline");
+  O.Jobs = 1;
+  Server S(O);
+  auto St = S.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto C = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+    // The search polls the deadline before every work unit, so a long
+    // auto request stops inside its plan stage instead of holding the
+    // worker for the whole search.
+    auto timedRequest = [&](const std::string &Req, std::string &Resp) {
+      auto T0 = std::chrono::steady_clock::now();
+      EXPECT_TRUE(C->sendFrame(Req));
+      auto P = C->recvFrame(RecvMs);
+      EXPECT_TRUE(static_cast<bool>(P)) << P.message();
+      Resp = P ? *P : std::string();
+      return std::chrono::steady_clock::now() - T0;
+    };
+    std::string Search = std::string(R"(","nest":")") + MatmulEscaped +
+                         R"(","auto":"locality","beam":8,"depth":2})";
+    std::string Full, Cut;
+    auto FullTime = timedRequest(R"({"id":"full)" + Search, Full);
+    EXPECT_NE(Full.find("\"ok\":true"), std::string::npos) << Full;
+    auto CutTime = timedRequest(
+        R"({"id":"cut","deadline_ms":20)" + Search.substr(1), Cut);
+    EXPECT_NE(Cut.find("\"kind\":\"deadline\""), std::string::npos) << Cut;
+    EXPECT_NE(Cut.find("deadline exceeded during stage 'plan'"),
+              std::string::npos)
+        << Cut;
+    EXPECT_LT(CutTime * 4, FullTime)
+        << "cancelled after "
+        << std::chrono::duration<double, std::milli>(CutTime).count()
+        << " ms; the whole search takes "
+        << std::chrono::duration<double, std::milli>(FullTime).count()
+        << " ms";
   }
   S.requestDrain();
   EXPECT_TRUE(S.run());
