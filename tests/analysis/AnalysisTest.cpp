@@ -7,8 +7,9 @@
 /// \file
 /// Unit tests for the static diagnostic engine: registry integrity,
 /// identity-stage detection, the fix-it fixed point, the error-clean
-/// <=> isLegal agreement invariant on hand-picked sequences, and the
-/// E100 pre-filter predicate the search engine uses.
+/// <=> isLegal agreement invariant on hand-picked sequences and, finding
+/// by finding, over the legality fuzz corpus, and the E100 pre-filter
+/// predicate the search engine uses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +17,11 @@
 
 #include "dependence/DepAnalysis.h"
 #include "driver/Script.h"
+#include "fuzz/NestGen.h"
+#include "fuzz/Rng.h"
+#include "fuzz/ScriptGen.h"
 #include "ir/Parser.h"
+#include "support/MathUtils.h"
 #include "transform/Templates.h"
 
 #include <gtest/gtest.h>
@@ -136,6 +141,100 @@ TEST(Analyze, AgreesWithIsLegalOnSamples) {
     EXPECT_EQ(L.Legal, !R.hasErrors())
         << "analyzer disagrees with isLegal on <" << S.Script << ">: "
         << L.Reason;
+  }
+}
+
+/// The rule an isLegal() rejection maps to: the stage's reject kind, with
+/// bounds preconditions split by the table that states them (Table 4 for
+/// the splitting templates and the Custom StripMine extension).
+std::string expectedRule(const LegalityResult &L,
+                         const TransformSequence &Seq) {
+  using RK = LegalityResult::RejectKind;
+  switch (L.Kind) {
+  case RK::LexNegative:
+    return "E100";
+  case RK::BoundsPrecondition: {
+    using Kind = TransformTemplate::Kind;
+    Kind K = Seq.steps()[L.Why.Stage - 1]->kind();
+    return K == Kind::Block || K == Kind::Interleave || K == Kind::Custom
+               ? "E102"
+               : "E101";
+  }
+  case RK::DependencePrecondition:
+    return "E103";
+  case RK::Overflow:
+    return "E104";
+  case RK::ApplyFailure:
+    return "E105";
+  case RK::None:
+    break;
+  }
+  return "";
+}
+
+/// Holds the analyzer's first error finding to isLegal()'s verdict on one
+/// generated case: present exactly when isLegal() rejects, with the rule
+/// of the reject kind, the same stage and the same message.
+void expectFirstErrorMatches(const fuzz::NestSpec &NS,
+                             const fuzz::GeneratedScript &GS,
+                             const std::string &What) {
+  ErrorOr<LoopNest> NestOr = parseLoopNest(NS.render());
+  ASSERT_TRUE(static_cast<bool>(NestOr)) << What << ": " << NestOr.message();
+  LoopNest N = NestOr.take();
+  DepSet D;
+  {
+    // Overflow-mode nests can saturate the dependence analysis; both
+    // sides see the same saturated set, so the comparison still holds.
+    OverflowGuard G;
+    D = analyzeDependences(N);
+  }
+  const std::string Script = fuzz::joinScript(GS.Lines);
+  ErrorOr<TransformSequence> SeqOr =
+      parseTransformScript(Script, N.numLoops());
+  if (!SeqOr)
+    return; // overflow-mode scripts can be unparseable
+  TransformSequence Seq = SeqOr.take();
+
+  LegalityResult L = isLegal(Seq, N, D);
+  AnalysisReport R = analyzeSequence(Seq, N, D);
+  const Finding *First = nullptr;
+  for (const Finding &F : R.Findings)
+    if (F.Severity == FindingSeverity::Error) {
+      First = &F;
+      break;
+    }
+  const std::string Tag = What + "\nnest:\n" + NS.render() + "script:\n" +
+                          Script + "\nisLegal: " + L.Reason;
+  ASSERT_EQ(First != nullptr, !L.Legal) << Tag;
+  if (!First)
+    return;
+  EXPECT_EQ(First->RuleId, expectedRule(L, Seq)) << Tag;
+  EXPECT_EQ(First->Stage, L.Why.Stage) << Tag;
+  EXPECT_EQ(First->Message, L.Why.Message) << Tag;
+}
+
+TEST(Analyze, FirstErrorMatchesLegalityVerdictOnFuzzCorpus) {
+  // The corpora of the IncrementalEquivalence suite: the plain generator
+  // and its overflow mode, whose huge coefficients reach E104.
+  fuzz::NestGenOptions NO;
+  fuzz::ScriptGenOptions SO;
+  for (unsigned I = 0; I < 2000; ++I) {
+    fuzz::Rng R(fuzz::mix64(0xA11CEull ^ I));
+    fuzz::NestSpec NS = fuzz::generateNest(R, NO);
+    fuzz::GeneratedScript GS = fuzz::generateScript(R, NS.depth(), SO);
+    expectFirstErrorMatches(NS, GS, "fuzz case " + std::to_string(I));
+    if (HasFatalFailure())
+      return;
+  }
+  NO.OverflowMode = true;
+  SO.OverflowMode = true;
+  for (unsigned I = 0; I < 200; ++I) {
+    fuzz::Rng R(fuzz::mix64(0x0F10Dull ^ I));
+    fuzz::NestSpec NS = fuzz::generateNest(R, NO);
+    fuzz::GeneratedScript GS = fuzz::generateScript(R, NS.depth(), SO);
+    expectFirstErrorMatches(NS, GS, "overflow case " + std::to_string(I));
+    if (HasFatalFailure())
+      return;
   }
 }
 
