@@ -12,7 +12,7 @@
 #include "BenchNests.h"
 
 #include "legality/IncrementalEngine.h"
-#include "transform/AutoPar.h"
+#include "search/AutoPar.h"
 
 #include "BenchMain.h"
 

@@ -18,7 +18,7 @@
 #include "dependence/DepAnalysis.h"
 #include "eval/Evaluator.h"
 #include "ir/Parser.h"
-#include "transform/AutoPar.h"
+#include "search/AutoPar.h"
 #include "transform/Sequence.h"
 #include "transform/Templates.h"
 

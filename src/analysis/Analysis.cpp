@@ -8,6 +8,7 @@
 
 #include "deps/CrossCheck.h"
 #include "deps/DepOracle.h"
+#include "legality/IncrementalEngine.h"
 #include "support/Casting.h"
 #include "support/MathUtils.h"
 #include "transform/Templates.h"
@@ -329,6 +330,23 @@ void lintStructure(const TransformSequence &T, const LoopNest &Nest,
   }
 }
 
+/// The rule of a stage rejection (E106 and E100 are the walk's own
+/// checks before and after the stages).
+const char *stageRule(LegalityResult::RejectKind K,
+                      TransformTemplate::Kind Template) {
+  using RK = LegalityResult::RejectKind;
+  switch (K) {
+  case RK::Overflow:
+    return "E104";
+  case RK::BoundsPrecondition:
+    return usesTable4(Template) ? "E102" : "E101";
+  case RK::DependencePrecondition:
+    return "E103";
+  default:
+    return "E105";
+  }
+}
+
 } // namespace
 
 bool irlt::analysis::isIdentityStage(const TransformTemplate &T) {
@@ -399,28 +417,28 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
     return false;
   };
 
-  // The walk: an instrumented replica of isLegal() - identical checks in
-  // identical order under the same per-stage OverflowGuard - so a
-  // sequence is error-clean here exactly when isLegal() accepts it.
-  // Provenance and lint computations run under their own nested guards
-  // (innermost records) so they cannot perturb the replica's verdict.
-  LoopNest Cur = Nest;
-  DepSet CurDeps = D;
+  // The walk: isLegal()'s own stage function (legality::stepStage, full
+  // mode, no cache), so a sequence is error-clean here exactly when
+  // isLegal() accepts it. Provenance and lint read the states before and
+  // after each stage under their own guards.
+  legality::PrefixState Cur;
+  Cur.Nest = Nest;
+  Cur.Deps = D;
   bool Errored = false;
-  for (unsigned I = 0; I < Steps.size() && !Errored; ++I) {
+  for (unsigned I = 0; I < Steps.size(); ++I) {
     const TemplateRef &Step = Steps[I];
     unsigned Stage = I + 1;
 
     // Defensive arity check so malformed hand-built sequences diagnose
     // instead of indexing out of range inside a template.
-    if (Step->inputSize() != Cur.numLoops()) {
+    if (Step->inputSize() != Cur.Nest.numLoops()) {
       Finding F = makeFinding("E106");
       F.Stage = Stage;
       F.TemplateName = Step->name();
       F.Message = Step->name() + " expects " +
                   std::to_string(Step->inputSize()) +
-                  " loops but the nest has " + std::to_string(Cur.numLoops()) +
-                  " at this stage";
+                  " loops but the nest has " +
+                  std::to_string(Cur.Nest.numLoops()) + " at this stage";
       Report.Findings.push_back(std::move(F));
       return Report;
     }
@@ -431,86 +449,30 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
     BoundType PreWorst = BoundType::Const;
     {
       OverflowGuard Shield;
-      PreWorst =
-          stateWorst(NestTypeState::fromNest(Cur), &WorstLoop, &WorstExpr);
+      PreWorst = stateWorst(NestTypeState::fromNest(Cur.Nest), &WorstLoop,
+                            &WorstExpr);
     }
-    bool PreAllDistances = allDistanceVectors(CurDeps);
 
-    LoopNest Next;
-    DepSet NextDeps;
-    {
-      OverflowGuard Guard;
-      auto overflow = [&]() {
-        if (!Guard.triggered())
-          return false;
-        Finding F = makeFinding("E104");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = "coefficient arithmetic overflows the int64 range "
-                    "(bounds overflow)";
-        Report.Findings.push_back(std::move(F));
-        return true;
-      };
-
-      std::string E = Step->checkPreconditions(Cur);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
-      if (!E.empty()) {
-        Finding F =
-            makeFinding(usesTable4(Step->kind()) ? "E102" : "E101");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = "bounds precondition violated: " + E;
+    legality::StageOutcome Out =
+        legality::stepStage(Cur, Steps, legality::Mode::Full);
+    if (!Out.Next) {
+      using RK = LegalityResult::RejectKind;
+      const RK K = Out.Fail.Kind;
+      Finding F = makeFinding(stageRule(K, Step->kind()));
+      F.Stage = Out.Fail.Why.Stage;
+      F.TemplateName = Step->name();
+      F.Message = Out.Fail.Why.Message;
+      if (K != RK::Overflow)
         F.Lattice = typeName(PreWorst);
-        F.Bounds = headerExprDesc(Cur, WorstLoop, WorstExpr);
-        Report.Findings.push_back(std::move(F));
-        Errored = true;
-        break;
-      }
-
-      E = checkAnchorDependence(*Step, NestTypeState::fromNest(Cur), CurDeps);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
-      if (!E.empty()) {
-        Finding F = makeFinding("E103");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = "dependence precondition violated: " + E;
-        F.Lattice = typeName(PreWorst);
-        std::string Deps = CurDeps.str();
-        if (Deps.size() <= 200)
-          F.DepVector = Deps;
-        Report.Findings.push_back(std::move(F));
-        Errored = true;
-        break;
-      }
-
-      ErrorOr<LoopNest> Applied = Step->apply(Cur);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
-      if (!Applied) {
-        Finding F = makeFinding("E105");
-        F.Stage = Stage;
-        F.TemplateName = Step->name();
-        F.Message = Applied.message();
-        F.Lattice = typeName(PreWorst);
-        Report.Findings.push_back(std::move(F));
-        Errored = true;
-        break;
-      }
-      Next = Applied.take();
-      NextDeps = Step->mapDependences(CurDeps);
-      if (overflow()) {
-        Errored = true;
-        break;
-      }
+      if (K == RK::BoundsPrecondition)
+        F.Bounds = headerExprDesc(Cur.Nest, WorstLoop, WorstExpr);
+      if (K == RK::DependencePrecondition && Cur.Deps.str().size() <= 200)
+        F.DepVector = Cur.Deps.str();
+      Report.Findings.push_back(std::move(F));
+      Errored = true;
+      break;
     }
+    const legality::PrefixState &Next = *Out.Next;
 
     if (Opts.Lint) {
       // W203: this stage's generated bounds introduced a nonlinear
@@ -520,15 +482,15 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
         OverflowGuard Shield;
         unsigned OutLoop = 0;
         HeaderExpr OutExpr = HeaderExpr::Lower;
-        BoundType PostWorst =
-            stateWorst(NestTypeState::fromNest(Next), &OutLoop, &OutExpr);
+        BoundType PostWorst = stateWorst(NestTypeState::fromNest(Next.Nest),
+                                         &OutLoop, &OutExpr);
         if (PostWorst == BoundType::Nonlinear &&
             PreWorst != BoundType::Nonlinear) {
           Finding F = makeFinding("W203");
           F.Stage = Stage;
           F.TemplateName = Step->name();
           F.Lattice = typeName(PostWorst);
-          F.Bounds = headerExprDesc(Next, OutLoop, OutExpr);
+          F.Bounds = headerExprDesc(Next.Nest, OutLoop, OutExpr);
           F.Message =
               Step->name() +
               " generates nonlinear loop bounds here (" + F.Bounds +
@@ -539,8 +501,8 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
 
       // W202: an exact distance set degraded to a full '*' direction
       // while a later Parallelize still has to prove independence.
-      if (PreAllDistances && laterParallelize(I)) {
-        std::string Star = findStarVector(NextDeps);
+      if (allDistanceVectors(Cur.Deps) && laterParallelize(I)) {
+        std::string Star = findStarVector(Next.Deps);
         if (!Star.empty()) {
           Finding F = makeFinding("W202");
           F.Stage = Stage;
@@ -557,13 +519,12 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
       }
     }
 
-    Cur = std::move(Next);
-    CurDeps = std::move(NextDeps);
+    Cur = std::move(*Out.Next);
   }
 
   // Final lexicographic test on the fully mapped set (isLegal part (a)).
   if (!Errored) {
-    for (const DepVector &V : CurDeps.vectors()) {
+    for (const DepVector &V : Cur.Deps.vectors()) {
       if (V.canBeLexNegative()) {
         Finding F = makeFinding("E100");
         F.Message = "transformed dependence vector " + V.str() +
@@ -571,7 +532,8 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
         F.DepVector = V.str();
         {
           OverflowGuard Shield;
-          F.Lattice = typeName(stateWorst(NestTypeState::fromNest(Cur)));
+          F.Lattice =
+              typeName(stateWorst(NestTypeState::fromNest(Cur.Nest)));
         }
         Report.Findings.push_back(std::move(F));
         break;

@@ -18,14 +18,16 @@
 /// offending dependence vector or bounds expression, and the inferred
 /// TypeState lattice element.
 ///
-/// Error-class rules replicate the isLegal() walk step for step (same
-/// checks, same order, same per-stage OverflowGuard), so by construction
-/// a sequence is error-clean if and only if isLegal() accepts it - the
-/// invariant the fuzzer's analyzer oracle enforces. Warning-class lint
-/// rules flag legal-but-wasteful scripts: stage pairs the reduced()
-/// peephole would fold, identity stages, direction-vector information
-/// loss ahead of a Parallelize, templates whose generated bounds degrade
-/// to nonlinear, and saturation-risk coefficients (support/MathUtils.h).
+/// Error-class rules come from isLegal()'s own stage function: the walk
+/// steps a prefix through legality::stepStage (full mode, no cache) and
+/// maps each stage rejection to a rule, so a sequence is error-clean if
+/// and only if isLegal() accepts it, and the first error finding carries
+/// isLegal()'s stage and message - the invariant the fuzzer's analyzer
+/// oracle enforces. Warning-class lint rules flag legal-but-wasteful
+/// scripts: stage pairs the reduced() peephole would fold, identity
+/// stages, direction-vector information loss ahead of a Parallelize,
+/// templates whose generated bounds degrade to nonlinear, and
+/// saturation-risk coefficients (support/MathUtils.h).
 ///
 /// Nothing here executes a nest: analysis uses the same bounds pipeline
 /// and dependence mapping the legality test itself uses, never the

@@ -156,7 +156,7 @@ private:
 };
 
 /// Per-worker latency samples, merged into EngineMetrics after a run.
-/// Serve workers keep one per worker thread as well.
+/// Serve workers, which report no latency, take a fresh one per job.
 struct StageSampler {
   std::vector<uint64_t> SamplesNs[NumStages];
 };

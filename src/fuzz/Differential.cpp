@@ -136,11 +136,12 @@ CaseOutcome irlt::fuzz::runCase(const FuzzCase &C,
   // its cache-soundness stressor.
   LegalityResult L = isLegal(Seq, Nest, D);
 
-  // 4b. Analyzer oracle: the static diagnostic engine replays the same
-  // walk without executing anything (docs/ANALYSIS.md), so its
-  // error-class verdict must agree with the full test on every case -
-  // an error-clean report on an illegal sequence or an error finding on
-  // a legal one are both soundness bugs in the analyzer.
+  // 4b. Analyzer oracle: the static diagnostic engine steps the same
+  // stage function without the prefix cache and without executing
+  // anything (docs/ANALYSIS.md), so its error-class verdict must agree
+  // with the cached full test on every case - an error-clean report on
+  // an illegal sequence or an error finding on a legal one are both
+  // bugs in the analyzer or the cache.
   analysis::AnalysisReport AR = analysis::analyzeSequence(Seq, Nest, D);
   if (L.Legal && AR.hasErrors()) {
     std::string First;

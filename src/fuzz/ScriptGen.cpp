@@ -145,8 +145,12 @@ unsigned emitDirective(Rng &R, unsigned Size, const ScriptGenOptions &Opts,
           if (B == A)
             B = (B + 1) % Size;
           int64_t C = coefficient(R, Opts.OverflowMode);
+          // Overflow mode's coefficients overflow this update; it wraps
+          // modulo 2^64 in unsigned arithmetic, where wrapping is defined.
           for (unsigned K = 0; K < Size; ++K)
-            M[B][K] += C * M[A][K];
+            M[B][K] = static_cast<int64_t>(
+                static_cast<uint64_t>(M[B][K]) +
+                static_cast<uint64_t>(C) * static_cast<uint64_t>(M[A][K]));
           break;
         }
         case 1: // negate a row

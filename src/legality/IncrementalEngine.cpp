@@ -16,10 +16,11 @@ using namespace irlt::legality;
 
 //===----------------------------------------------------------------------===//
 // The legacy whole-sequence walks, verbatim. These are the ground truth
-// the incremental paths below must match byte for byte - same operation
+// the incremental path below must match byte for byte - same operation
 // order, same Diag strings, same stage attribution - and the uncached
-// "legacy" series in the benchmarks. Do not restructure them without
-// restructuring extendFull()/extendFast() identically.
+// "legacy" series in the benchmarks. stepStage() runs one stage exactly
+// as they do, and the IncrementalEquivalence suite holds it to them, so
+// a change to either side must be made to both.
 //===----------------------------------------------------------------------===//
 
 static LegalityResult referenceFull(const TransformSequence &T,
@@ -207,167 +208,98 @@ LegalityResult IncrementalEngine::reference(const TransformSequence &T,
 }
 
 //===----------------------------------------------------------------------===//
-// One-stage extension: the per-stage bodies of the walks above, lifted to
-// operate on a PrefixState. A successful stage is saturation-free by
-// construction (the guard check after every operation rejects first), so
-// only Overflow verdicts carry Saturated.
+// The stage function: one stage of the walks above, on a PrefixState. A
+// surviving stage is saturation-free by construction (the guard check
+// after every operation rejects first), so only Overflow verdicts carry
+// Saturated.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct ExtendComputed {
-  /// Set when the prefix survives the stage.
-  std::optional<PrefixState> NewState;
-  /// The stage rejection otherwise.
-  LegalityResult Fail;
-  /// The OverflowGuard tripped during this stage: do not cache.
-  bool Saturated = false;
-};
-
-ExtendComputed extendFull(const PrefixState &P, const TemplateRef &Step,
-                          unsigned Stage) {
-  ExtendComputed C;
-  LegalityResult &R = C.Fail;
+StageOutcome legality::stepStage(const PrefixState &P,
+                                 const std::vector<TemplateRef> &Steps,
+                                 Mode M) {
   using RK = LegalityResult::RejectKind;
+  const unsigned Stage = P.Len + 1;
+  const TemplateRef &Step = Steps[P.Len];
+  StageOutcome C;
+  auto fail = [&](RK K, std::string Message, unsigned At,
+                  std::string Template) {
+    C.Fail.reject(K, Diag::error(std::move(Message))
+                         .atStage(At)
+                         .inTemplate(std::move(Template)));
+    return std::move(C);
+  };
   OverflowGuard Guard;
   auto overflowed = [&]() {
     if (!Guard.triggered())
       return false;
     C.Saturated = true;
-    R.reject(RK::Overflow,
-             Diag::error("coefficient arithmetic overflows the int64 "
-                         "range (bounds overflow)")
-                 .atStage(Stage)
-                 .inTemplate(Step->name()));
+    C.Fail.reject(RK::Overflow,
+                  Diag::error("coefficient arithmetic overflows the int64 "
+                              "range (bounds overflow)")
+                      .atStage(Stage)
+                      .inTemplate(Step->name()));
     return true;
   };
-  std::string E = Step->checkPreconditions(P.Nest);
+
+  NestTypeState FullTypes;
+  if (M == Mode::Full) {
+    std::string E = Step->checkPreconditions(P.Nest);
+    if (overflowed())
+      return C;
+    if (!E.empty())
+      return fail(RK::BoundsPrecondition,
+                  "bounds precondition violated: " + E, Stage, Step->name());
+    FullTypes = NestTypeState::fromNest(P.Nest);
+  }
+  std::string E = checkAnchorDependence(
+      *Step, M == Mode::Full ? FullTypes : P.Types, P.Deps);
   if (overflowed())
     return C;
-  if (!E.empty()) {
-    R.reject(RK::BoundsPrecondition,
-             Diag::error("bounds precondition violated: " + E)
-                 .atStage(Stage)
-                 .inTemplate(Step->name()));
-    return C;
-  }
-  E = checkAnchorDependence(*Step, NestTypeState::fromNest(P.Nest), P.Deps);
-  if (overflowed())
-    return C;
-  if (!E.empty()) {
-    R.reject(RK::DependencePrecondition,
-             Diag::error("dependence precondition violated: " + E)
-                 .atStage(Stage)
-                 .inTemplate(Step->name()));
-    return C;
-  }
-  ErrorOr<LoopNest> Next = Step->apply(P.Nest);
-  if (overflowed())
-    return C;
-  if (!Next) {
-    R.reject(RK::ApplyFailure, Diag::error(Next.message())
-                                   .atStage(Stage)
-                                   .inTemplate(Step->str()));
-    return C;
-  }
+  if (!E.empty())
+    return fail(RK::DependencePrecondition,
+                "dependence precondition violated: " + E, Stage, Step->name());
+
   PrefixState NS;
   NS.Len = Stage;
-  NS.Nest = Next.take();
-  NS.Deps = Step->mapDependences(P.Deps);
-  if (overflowed())
-    return C;
-  C.NewState = std::move(NS);
-  return C;
-}
-
-ExtendComputed extendFast(const PrefixState &P,
-                          const std::vector<TemplateRef> &Steps,
-                          const TemplateRef &Step, unsigned Stage) {
-  ExtendComputed C;
-  LegalityResult &R = C.Fail;
-  using RK = LegalityResult::RejectKind;
-  OverflowGuard Guard;
-  auto overflowed = [&]() {
-    if (!Guard.triggered())
-      return false;
-    C.Saturated = true;
-    R.reject(RK::Overflow,
-             Diag::error("coefficient arithmetic overflows the int64 "
-                         "range (bounds overflow)")
-                 .atStage(Stage)
-                 .inTemplate(Step->name()));
-    return true;
-  };
-  std::string E = checkAnchorDependence(*Step, P.Types, P.Deps);
-  if (overflowed())
-    return C;
-  if (!E.empty()) {
-    R.reject(RK::DependencePrecondition,
-             Diag::error("dependence precondition violated: " + E)
-                 .atStage(Stage)
-                 .inTemplate(Step->name()));
-    return C;
-  }
-  std::optional<ErrorOr<NestTypeState>> Next = mapTypes(*Step, P.Types);
-  if (overflowed())
-    return C;
-  if (Next) {
-    if (!*Next) {
-      R.reject(RK::BoundsPrecondition,
-               Diag::error("bounds precondition violated: " + Next->message())
-                   .atStage(Stage)
-                   .inTemplate(Step->name()));
+  std::optional<ErrorOr<NestTypeState>> Mapped;
+  if (M == Mode::Fast) {
+    Mapped = mapTypes(*Step, P.Types);
+    if (overflowed())
       return C;
-    }
-    PrefixState NS;
-    NS.Len = Stage;
+  }
+  if (Mapped) {
+    if (!*Mapped)
+      return fail(RK::BoundsPrecondition,
+                  "bounds precondition violated: " + Mapped->message(), Stage,
+                  Step->name());
     NS.Nest = P.Nest;
     NS.AppliedThrough = P.AppliedThrough;
-    NS.Types = Next->take();
-    NS.Deps = Step->mapDependences(P.Deps);
-    if (overflowed())
-      return C;
-    C.NewState = std::move(NS);
-    return C;
-  }
-  // No type rule: materialize the concrete nest up to this stage (the
-  // builder carries the as-written prefix stages) and apply for real.
-  LoopNest Applied = P.Nest;
-  for (size_t I = P.AppliedThrough; I + 1 < Stage; ++I) {
-    ErrorOr<LoopNest> NextNest = Steps[I]->apply(Applied);
-    if (overflowed())
-      return C;
-    if (!NextNest) {
-      R.reject(RK::ApplyFailure,
-               Diag::error(NextNest.message())
-                   .atStage(static_cast<unsigned>(I + 1))
-                   .inTemplate(Steps[I]->str()));
-      return C;
+    NS.Types = Mapped->take();
+  } else {
+    // Full mode, or a fast-mode stage without a type rule: apply every
+    // stage the concrete nest has not materialized yet (fast mode skips
+    // the type-ruled ones), through this one.
+    const LoopNest *Cur = &P.Nest;
+    for (size_t I = P.AppliedThrough; I < Stage; ++I) {
+      ErrorOr<LoopNest> Next = Steps[I]->apply(*Cur);
+      if (overflowed())
+        return C;
+      if (!Next)
+        return fail(RK::ApplyFailure, Next.message(),
+                    static_cast<unsigned>(I + 1), Steps[I]->str());
+      NS.Nest = Next.take();
+      Cur = &NS.Nest;
     }
-    Applied = NextNest.take();
+    NS.AppliedThrough = Stage;
+    if (M == Mode::Fast)
+      NS.Types = NestTypeState::fromNest(NS.Nest);
   }
-  ErrorOr<LoopNest> NextNest = Step->apply(Applied);
-  if (overflowed())
-    return C;
-  if (!NextNest) {
-    R.reject(RK::ApplyFailure, Diag::error(NextNest.message())
-                                   .atStage(Stage)
-                                   .inTemplate(Step->str()));
-    return C;
-  }
-  PrefixState NS;
-  NS.Len = Stage;
-  NS.Nest = NextNest.take();
-  NS.AppliedThrough = Stage;
-  NS.Types = NestTypeState::fromNest(NS.Nest);
   NS.Deps = Step->mapDependences(P.Deps);
   if (overflowed())
     return C;
-  C.NewState = std::move(NS);
+  C.Next = std::move(NS);
   return C;
 }
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // SequenceBuilder
@@ -388,7 +320,7 @@ const DepSet &SequenceBuilder::deps() const {
 unsigned SequenceBuilder::outputLoops() const {
   if (!Cur)
     return 0;
-  if (M == Mode::Fast && Cur->AppliedThrough < Cur->Len)
+  if (Cur->AppliedThrough < Cur->Len)
     return Cur->Types.numLoops();
   return Cur->Nest.numLoops();
 }
@@ -397,7 +329,6 @@ bool SequenceBuilder::extend(const TemplateRef &Step) {
   if (Failed)
     return false;
   Steps.push_back(Step);
-  unsigned Stage = Cur->Len + 1;
 
   std::string NewKey;
   if (Cacheable) {
@@ -429,13 +360,12 @@ bool SequenceBuilder::extend(const TemplateRef &Step) {
     E->Misses.fetch_add(1, std::memory_order_relaxed);
   }
 
-  ExtendComputed C = M == Mode::Full ? extendFull(*Cur, Step, Stage)
-                                     : extendFast(*Cur, Steps, Step, Stage);
+  StageOutcome C = stepStage(*Cur, Steps, M);
   if (C.Saturated && E)
     E->Uncacheable.fetch_add(1, std::memory_order_relaxed);
 
-  if (C.NewState) {
-    auto NS = std::make_shared<const PrefixState>(std::move(*C.NewState));
+  if (C.Next) {
+    auto NS = std::make_shared<const PrefixState>(std::move(*C.Next));
     if (UseCache && !C.Saturated) {
       IncrementalEngine::Entry En;
       En.State = NS;

@@ -15,7 +15,9 @@
 /// memoizes exactly that: a bounded, concurrency-safe cache of surviving
 /// prefix states plus stage-rejection verdicts, keyed per prefix, so
 /// extending a sequence by one stage pays only that stage's mapping cost
-/// instead of re-walking the whole chain. The whole-sequence entry
+/// instead of re-walking the whole chain. A stage is computed in one
+/// place, stepStage(), which builders run on a cache miss and the static
+/// analyzer runs uncached. The whole-sequence entry
 /// points isLegal() / isLegalFast() are thin shims over check() below;
 /// their verdicts - RejectKind, Diag provenance, rendered Reason, final
 /// mapped set - are byte-identical to the legacy walks, which are kept
@@ -57,17 +59,18 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace irlt {
 namespace legality {
 
-/// Which legacy walk the engine replicates. The two differ in per-stage
-/// operation order and in what they materialize (Full generates concrete
-/// bounds each stage; Fast propagates type states and only materializes
-/// for extension templates without a type rule), so their states are
-/// cached under distinct keys.
+/// Which walk stepStage() runs: isLegal()'s or isLegalFast()'s. The two
+/// differ in per-stage operation order and in what they materialize (Full
+/// generates concrete bounds each stage; Fast propagates type states and
+/// only materializes for extension templates without a type rule), so
+/// their states are cached under distinct keys.
 enum class Mode {
   Full, ///< isLegal(): checkPreconditions / anchor / apply / map
   Fast, ///< isLegalFast(): anchor / mapTypes, lazy materialization
@@ -90,17 +93,40 @@ struct PrefixState {
   NestTypeState Types;
   /// The dependence set mapped through the prefix.
   DepSet Deps;
-  /// Fast mode: how many stages Nest has materialized.
+  /// How many stages Nest has materialized (always Len in full mode).
   size_t AppliedThrough = 0;
 };
 
+/// What one stage of the walk produced: the state after the stage when
+/// the prefix survives it, else the stage rejection.
+struct StageOutcome {
+  /// Set when the prefix survives the stage.
+  std::optional<PrefixState> Next;
+  /// The stage rejection otherwise: RejectKind plus a Diag carrying the
+  /// stage index and template (the witness provenance).
+  LegalityResult Fail;
+  /// The stage's OverflowGuard tripped (only Overflow verdicts carry it):
+  /// the outcome came from saturated arithmetic and is never cached.
+  bool Saturated = false;
+};
+
+/// The one stage function of the Section 3.2 walk: runs stage P.Len + 1,
+/// i.e. \p Steps[P.Len], on the prefix state \p P under one
+/// OverflowGuard. \p Steps holds the stages as written at least through
+/// that one; fast mode materializes Steps[P.AppliedThrough .. P.Len] when
+/// the stage has no type rule. SequenceBuilder::extend() and the analyzer
+/// (analysis::analyzeSequence) both step through it, so their verdicts
+/// agree by construction. Consults no cache.
+StageOutcome stepStage(const PrefixState &P,
+                       const std::vector<TemplateRef> &Steps, Mode M);
+
 class IncrementalEngine;
 
-/// A handle on an open prefix: extend() consumes one stage and reports
-/// whether it survived; failure() carries the structured stage rejection
-/// (RejectKind + Diag with stage index and template - the witness
-/// provenance); finish() runs the final lexicographic test and returns
-/// the whole-sequence verdict. The verdict surface is byte-identical to
+/// A handle on an open prefix: extend() consumes one stage (a cache hit,
+/// or stepStage() on a miss) and reports whether it survived; failure()
+/// carries the structured stage rejection (RejectKind + Diag with stage
+/// index and template - the witness provenance); finish() runs the final
+/// lexicographic test and returns the whole-sequence verdict. The verdict surface is byte-identical to
 /// the legacy whole-sequence walk over the same stages.
 ///
 /// A builder is a cheap value (a shared pointer into the engine's cache
@@ -115,10 +141,12 @@ public:
   /// stage and finish() returns \p Verdict.
   static SequenceBuilder failed(LegalityResult Verdict);
 
-  /// Consumes one stage. Returns true when the prefix survives; false
-  /// when the stage was rejected (or the builder had already failed), in
-  /// which case failure() holds the verdict and every further extend()
-  /// keeps returning false.
+  /// Consumes one stage: the cached outcome of this prefix when there is
+  /// one, else stepStage(), whose outcome is then cached unless it
+  /// saturated. Returns true when the prefix survives; false when the
+  /// stage was rejected (or the builder had already failed), in which
+  /// case failure() holds the verdict and every further extend() keeps
+  /// returning false.
   bool extend(const TemplateRef &Step);
 
   /// Whole-sequence verdict of the stages consumed so far: the sticky

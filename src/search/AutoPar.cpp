@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "transform/AutoPar.h"
+#include "search/AutoPar.h"
 
 #include "search/Search.h"
 

@@ -1,4 +1,4 @@
-//===- transform/AutoPar.h - Search-based auto-parallelization -----------===//
+//===- search/AutoPar.h - Search-based auto-parallelization --------------===//
 //
 // Part of the IRLT project: a reproduction of Sarkar & Thekkath,
 // "A General Framework for Iteration-Reordering Loop Transformations"
@@ -24,8 +24,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef IRLT_TRANSFORM_AUTOPAR_H
-#define IRLT_TRANSFORM_AUTOPAR_H
+#ifndef IRLT_SEARCH_AUTOPAR_H
+#define IRLT_SEARCH_AUTOPAR_H
 
 #include "transform/Sequence.h"
 
@@ -80,4 +80,4 @@ AutoParResult autoVectorize(const LoopNest &Nest, const DepSet &D,
 
 } // namespace irlt
 
-#endif // IRLT_TRANSFORM_AUTOPAR_H
+#endif // IRLT_SEARCH_AUTOPAR_H

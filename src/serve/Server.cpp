@@ -482,7 +482,6 @@ void Server::Impl::readerLoop(ConnPtr C) {
 //===----------------------------------------------------------------------===//
 
 void Server::Impl::workerLoop() {
-  engine::StageSampler Sampler;
   for (;;) {
     Job J;
     {
@@ -513,6 +512,9 @@ void Server::Impl::workerLoop() {
       IsError = IsDeadline = true;
     } else {
       try {
+        // The stage timings are not read here: a sampler per job keeps
+        // them from piling up for the life of the process.
+        engine::StageSampler Sampler;
         engine::RequestOutcome O = engine::processRequest(
             P, EO, J.Payload, J.LineNo, Sampler,
             J.Deadline.armed() ? &J.Deadline : nullptr);

@@ -7,9 +7,10 @@
 /// \file
 /// Unit tests for the static diagnostic engine: registry integrity,
 /// identity-stage detection, the fix-it fixed point, the error-clean
-/// <=> isLegal agreement invariant on hand-picked sequences and, finding
-/// by finding, over the legality fuzz corpus, and the E100 pre-filter
-/// predicate the search engine uses.
+/// <=> isLegal agreement invariant (on hand-picked sequences, and finding
+/// by finding over the legality fuzz corpus), the analyzer's independence
+/// from the legality cache, and the E100 pre-filter predicate the search
+/// engine uses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "fuzz/Rng.h"
 #include "fuzz/ScriptGen.h"
 #include "ir/Parser.h"
+#include "legality/IncrementalEngine.h"
 #include "support/MathUtils.h"
 #include "transform/Templates.h"
 
@@ -235,6 +237,26 @@ TEST(Analyze, FirstErrorMatchesLegalityVerdictOnFuzzCorpus) {
     expectFirstErrorMatches(NS, GS, "overflow case " + std::to_string(I));
     if (HasFatalFailure())
       return;
+  }
+}
+
+TEST(Analyze, LeavesTheLegalityCacheUntouched) {
+  // The analyzer steps the legality stage function directly, never the
+  // engine, so the fuzz oracle's analyzer walk stays an uncached
+  // counterpart of the cached isLegal().
+  LoopNest N = nest(Triangular);
+  DepSet D = analyzeDependences(N);
+  legality::IncrementalEngine &G = legality::IncrementalEngine::global();
+  for (const char *Script : {"interchange 1 2", "block 1 2 4 4\nreverse 1",
+                             "skew 2 1 1\nunimodular 1 0 / -1 1"}) {
+    TransformSequence Seq = script(Script, 2);
+    legality::EngineStats Before = G.stats();
+    analyzeSequence(Seq, N, D);
+    legality::EngineStats After = G.stats();
+    EXPECT_EQ(After.Hits, Before.Hits) << Script;
+    EXPECT_EQ(After.Misses, Before.Misses) << Script;
+    EXPECT_EQ(After.Inserts, Before.Inserts) << Script;
+    EXPECT_EQ(After.Uncacheable, Before.Uncacheable) << Script;
   }
 }
 

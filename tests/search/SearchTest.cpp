@@ -11,9 +11,9 @@
 #include "dependence/DepAnalysis.h"
 #include "eval/Verify.h"
 #include "ir/Parser.h"
+#include "search/AutoPar.h"
 #include "search/CostModel.h"
 #include "search/Search.h"
-#include "transform/AutoPar.h"
 #include "transform/Templates.h"
 
 #include <gtest/gtest.h>

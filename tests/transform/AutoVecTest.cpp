@@ -9,7 +9,7 @@
 #include "dependence/DepAnalysis.h"
 #include "eval/Verify.h"
 #include "ir/Parser.h"
-#include "transform/AutoPar.h"
+#include "search/AutoPar.h"
 #include "transform/Templates.h"
 
 #include <gtest/gtest.h>
