@@ -51,8 +51,10 @@ ProcResult runProcess(const std::vector<std::string> &Argv,
                       uint64_t TimeoutMs) {
   ProcResult R;
 
+  // Close-on-exec, so a compiler or kernel another thread forks at the
+  // same time does not inherit this capture pipe.
   int Pipe[2];
-  if (pipe(Pipe) != 0)
+  if (pipe2(Pipe, O_CLOEXEC) != 0)
     return R;
 
   pid_t Pid = fork();

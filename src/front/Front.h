@@ -52,12 +52,17 @@
 /// Inline ops fan out: healthz / statz / persist are answered by
 /// querying every live worker and aggregating one "irlt-front" record.
 ///
+/// The client side - bind, connection limit, frame rejects, ordered
+/// delivery, drain - is the serve::Listener (serve/Listener.h) that
+/// irlt-serve uses too.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRLT_FRONT_FRONT_H
 #define IRLT_FRONT_FRONT_H
 
 #include "serve/Frame.h"
+#include "serve/Listener.h"
 #include "support/ErrorOr.h"
 #include "support/FaultInject.h"
 
@@ -124,21 +129,17 @@ struct FrontOptions {
   FaultConfig Faults;
 };
 
-/// Monotonic counters (statz / the tool's exit record). Reconciliation:
+/// Monotonic counters (statz / the tool's exit record); the connection
+/// counters come from serve::ListenerStats. Reconciliation:
 ///   FramesIn == InlineOps + Routed + DrainRejects
 ///   Routed   == Served + WindowShed + ShardDownRejects   (after drain)
-struct FrontStats {
-  std::atomic<uint64_t> ConnsAccepted{0};
-  std::atomic<uint64_t> ConnsRejected{0};
-  std::atomic<uint64_t> FramesIn{0};
+struct FrontStats : serve::ListenerStats {
   std::atomic<uint64_t> InlineOps{0};
   std::atomic<uint64_t> Routed{0};
   std::atomic<uint64_t> WindowShed{0};       ///< "overloaded" rejects
   std::atomic<uint64_t> DrainRejects{0};     ///< "draining" rejects
   std::atomic<uint64_t> ShardDownRejects{0}; ///< "shard_down" rejects
   std::atomic<uint64_t> Served{0};           ///< worker responses relayed
-  std::atomic<uint64_t> BadFrames{0};
-  std::atomic<uint64_t> WriteFailures{0};
   std::atomic<uint64_t> Restarts{0};      ///< worker restarts performed
   std::atomic<uint64_t> ProbeFailures{0}; ///< failed/timed-out probes
   std::atomic<uint64_t> HangKills{0};     ///< pending-age SIGKILLs

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -21,13 +20,25 @@
 using namespace irlt;
 using namespace irlt::serve;
 
-/// Client sockets must not leak into worker processes the front forks:
-/// an inherited fd would hold a dead shard's connection open and mask
-/// the EOF its response reader relies on for crash detection.
-static void setCloexecFd(int Fd) {
-  int Flags = fcntl(Fd, F_GETFD);
-  if (Flags >= 0)
-    fcntl(Fd, F_SETFD, Flags | FD_CLOEXEC);
+bool serve::writeAll(int Fd, std::string_view Data) {
+  size_t Off = 0;
+  while (Off < Data.size()) {
+    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Off += static_cast<size_t>(N);
+  }
+  return true;
+}
+
+void serve::setSocketTimeout(int Fd, int Option, uint64_t Millis) {
+  timeval Tv{};
+  Tv.tv_sec = static_cast<time_t>(Millis / 1000);
+  Tv.tv_usec = static_cast<suseconds_t>((Millis % 1000) * 1000);
+  ::setsockopt(Fd, SOL_SOCKET, Option, &Tv, sizeof(Tv));
 }
 
 ClientConn &ClientConn::operator=(ClientConn &&O) noexcept {
@@ -46,34 +57,20 @@ ClientConn::~ClientConn() {
     ::close(Fd);
 }
 
-static bool writeAllFd(int Fd, const char *Data, size_t Len) {
-  size_t Off = 0;
-  while (Off < Len) {
-    ssize_t N = ::send(Fd, Data + Off, Len - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
 bool ClientConn::sendFrame(std::string_view Payload, uint64_t StallMillis) {
   std::string Frame = encodeFrame(Payload);
   if (!StallMillis)
-    return writeAllFd(Fd, Frame.data(), Frame.size());
+    return writeAll(Fd, Frame);
   for (char B : Frame) {
     std::this_thread::sleep_for(std::chrono::milliseconds(StallMillis));
-    if (!writeAllFd(Fd, &B, 1))
+    if (!writeAll(Fd, std::string_view(&B, 1)))
       return false;
   }
   return true;
 }
 
 bool ClientConn::sendRaw(std::string_view Bytes) {
-  return writeAllFd(Fd, Bytes.data(), Bytes.size());
+  return writeAll(Fd, Bytes);
 }
 
 void ClientConn::finishWrites() {
@@ -82,12 +79,8 @@ void ClientConn::finishWrites() {
 }
 
 ErrorOr<std::string> ClientConn::recvFrame(uint64_t RecvTimeoutMillis) {
-  if (RecvTimeoutMillis) {
-    timeval Tv{};
-    Tv.tv_sec = static_cast<time_t>(RecvTimeoutMillis / 1000);
-    Tv.tv_usec = static_cast<suseconds_t>((RecvTimeoutMillis % 1000) * 1000);
-    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-  }
+  if (RecvTimeoutMillis)
+    setSocketTimeout(Fd, SO_RCVTIMEO, RecvTimeoutMillis);
   std::string Payload;
   for (;;) {
     FrameReader::Status S = Reader.next(Payload);
@@ -129,10 +122,12 @@ ErrorOr<ClientConn> serve::connectUnix(const std::string &Path) {
   if (Path.size() >= sizeof(Addr.sun_path))
     return Failure(Diag::error("client: socket path too long: '" + Path + "'"));
   std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  // Close-on-exec from birth: the front forks workers while its threads
+  // connect, and an inherited socket would hold a dead shard's connection
+  // open, masking the EOF its response reader relies on.
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (Fd < 0)
     return Failure(Diag::error("client: socket(AF_UNIX) failed"));
-  setCloexecFd(Fd);
   if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
     int E = errno;
     ::close(Fd);
@@ -143,10 +138,9 @@ ErrorOr<ClientConn> serve::connectUnix(const std::string &Path) {
 }
 
 ErrorOr<ClientConn> serve::connectTcp(int Port) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int Fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (Fd < 0)
     return Failure(Diag::error("client: socket(AF_INET) failed"));
-  setCloexecFd(Fd);
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);

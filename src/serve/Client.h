@@ -9,7 +9,9 @@
 /// tools/irlt-servectl, the serve integration tests, and
 /// bench/bench_serve. Deliberately low-level (a connected fd plus
 /// frame send/recv) so the fault-injection paths of servectl can also
-/// write deliberately broken bytes on the same socket.
+/// write deliberately broken bytes on the same socket. The two socket
+/// helpers at the end serve the listener (serve/Listener.h) and the
+/// front's shard connections as well.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include "serve/Frame.h"
 #include "support/ErrorOr.h"
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -81,6 +84,14 @@ private:
 ErrorOr<ClientConn> connectUnix(const std::string &Path);
 /// Connects to a loopback TCP serve socket.
 ErrorOr<ClientConn> connectTcp(int Port);
+
+/// Writes all of \p Data to a socket, riding out partial writes and
+/// EINTR; false on error (a write timeout included).
+bool writeAll(int Fd, std::string_view Data);
+
+/// Sets the SO_RCVTIMEO or SO_SNDTIMEO (\p Option) of a socket; 0 clears
+/// it.
+void setSocketTimeout(int Fd, int Option, uint64_t Millis);
 
 } // namespace serve
 } // namespace irlt

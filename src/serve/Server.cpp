@@ -9,75 +9,19 @@
 #include "engine/Engine.h"
 #include "support/Json.h"
 
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 using namespace irlt;
 using namespace irlt::serve;
 
 namespace {
-
-void setCloexec(int Fd) {
-  int Flags = fcntl(Fd, F_GETFD);
-  if (Flags >= 0)
-    fcntl(Fd, F_SETFD, Flags | FD_CLOEXEC);
-}
-
-/// Writes all of \p Data, riding out partial writes and EINTR. The
-/// socket carries SO_SNDTIMEO, so a stalled client surfaces as a write
-/// error here instead of wedging a worker.
-bool writeAll(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// One client connection. The reader thread and any number of queued
-/// jobs share it via shared_ptr; the destructor (last reference) closes
-/// the socket, so responses can still flow after the client half-closes
-/// its write side.
-struct Conn {
-  int Fd = -1;
-  /// Next sequence number to assign (reader thread only).
-  uint64_t NextSeq = 0;
-
-  /// Reorder buffer: responses are written strictly in request order.
-  std::mutex WriteMu;
-  std::map<uint64_t, std::string> Pending;
-  uint64_t NextWrite = 0;
-  bool Dead = false;
-
-  ~Conn() {
-    if (Fd >= 0)
-      ::close(Fd);
-  }
-};
-using ConnPtr = std::shared_ptr<Conn>;
 
 /// One admitted request. LineNo is the request's *logical* line number:
 /// Seq + 1 for a directly connected client, or the line_no a "fwd"
@@ -94,13 +38,6 @@ struct Job {
   engine::DeadlineToken Deadline;
 };
 
-/// Reader-thread bookkeeping: joined opportunistically by the accept
-/// loop (Done) and finally at drain.
-struct ReaderSlot {
-  std::thread T;
-  std::atomic<bool> Done{false};
-};
-
 } // namespace
 
 struct Server::Impl {
@@ -112,30 +49,31 @@ struct Server::Impl {
   JournalLoadResult Loaded;
   std::atomic<uint64_t> Persisted{0};
 
-  int ListenFd = -1;
-  int BoundPort = 0;
-  int PipeR = -1, PipeW = -1;
-
-  std::atomic<bool> Draining{false};
-
   // Admission queue.
   std::mutex QueueMu;
   std::condition_variable QueueCv;
   std::deque<Job> Queue;
   bool ReadersDone = false;
 
-  // Live reader-side sockets, so drain can wake blocked reads.
-  std::mutex ConnMu;
-  std::set<int> LiveFds;
-
-  std::thread AcceptThread;
-  std::vector<std::unique_ptr<ReaderSlot>> Readers; // accept thread only
   std::vector<std::thread> Workers;
+
+  /// The connection side; its reader threads call dispatch().
+  Listener L;
 
   explicit Impl(ServeOptions O)
       : Opts(std::move(O)),
         P(api::PipelineOptions{Opts.EnableCache, {}, Opts.CacheCapacity}),
-        Journal(Opts.JournalCapacity) {
+        Journal(Opts.JournalCapacity),
+        L({.Name = "serve",
+           .SocketPath = Opts.SocketPath,
+           .TcpPort = Opts.TcpPort,
+           .MaxConns = Opts.MaxConns,
+           .MaxFrameBytes = Opts.MaxFrameBytes,
+           .WriteTimeoutMillis = Opts.WriteTimeoutMillis,
+           .ShortRead = Opts.Faults.ShortRead},
+          Stats, [this](const ConnPtr &C, uint64_t Seq, std::string Payload) {
+            dispatch(C, Seq, std::move(Payload));
+          }) {
     EO.EnableCache = Opts.EnableCache;
     EO.CacheCapacity = Opts.CacheCapacity;
     EO.MaxLineBytes = Opts.MaxLineBytes;
@@ -144,93 +82,12 @@ struct Server::Impl {
     EO.CollectNestKeys = !Opts.PersistPath.empty();
   }
 
-  ErrorOr<bool> bindSocket();
-  void acceptLoop();
-  void readerLoop(ConnPtr C);
   void workerLoop();
   void dispatch(const ConnPtr &C, uint64_t Seq, std::string Payload);
-  void deliver(const ConnPtr &C, uint64_t Seq, const std::string &Record);
   std::string healthzRecord(const std::string &Id);
   std::string statzRecord(const std::string &Id);
   std::string persistRecord(const std::string &Id);
 };
-
-//===----------------------------------------------------------------------===//
-// Socket setup
-//===----------------------------------------------------------------------===//
-
-ErrorOr<bool> Server::Impl::bindSocket() {
-  if (!Opts.SocketPath.empty() && Opts.TcpPort >= 0)
-    return Failure(Diag::error("serve: --socket and --port are exclusive"));
-  if (Opts.SocketPath.empty() && Opts.TcpPort < 0)
-    return Failure(Diag::error("serve: need --socket PATH or --port N"));
-
-  if (!Opts.SocketPath.empty()) {
-    sockaddr_un Addr{};
-    Addr.sun_family = AF_UNIX;
-    if (Opts.SocketPath.size() >= sizeof(Addr.sun_path))
-      return Failure(Diag::error("serve: socket path too long: '" +
-                                 Opts.SocketPath + "'"));
-    std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
-                Opts.SocketPath.size() + 1);
-    ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (ListenFd < 0)
-      return Failure(Diag::error("serve: socket(AF_UNIX) failed"));
-    setCloexec(ListenFd);
-    ::unlink(Opts.SocketPath.c_str()); // stale socket from a crashed run
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-        0)
-      return Failure(Diag::error("serve: cannot bind '" + Opts.SocketPath +
-                                 "': " + std::strerror(errno)));
-  } else {
-    ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (ListenFd < 0)
-      return Failure(Diag::error("serve: socket(AF_INET) failed"));
-    setCloexec(ListenFd);
-    int One = 1;
-    ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    Addr.sin_port = htons(static_cast<uint16_t>(Opts.TcpPort));
-    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-        0)
-      return Failure(
-          Diag::error("serve: cannot bind 127.0.0.1:" +
-                      std::to_string(Opts.TcpPort) + ": " +
-                      std::strerror(errno)));
-    sockaddr_in Bound{};
-    socklen_t Len = sizeof(Bound);
-    if (::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Bound), &Len) ==
-        0)
-      BoundPort = ntohs(Bound.sin_port);
-  }
-
-  if (::listen(ListenFd, 64) < 0)
-    return Failure(Diag::error(std::string("serve: listen failed: ") +
-                               std::strerror(errno)));
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Response delivery (per-connection completed-prefix reorder buffer)
-//===----------------------------------------------------------------------===//
-
-void Server::Impl::deliver(const ConnPtr &C, uint64_t Seq,
-                           const std::string &Record) {
-  std::lock_guard<std::mutex> Lock(C->WriteMu);
-  C->Pending.emplace(Seq, Record);
-  while (!C->Pending.empty() && C->Pending.begin()->first == C->NextWrite) {
-    if (!C->Dead) {
-      if (!writeAll(C->Fd, encodeFrame(C->Pending.begin()->second))) {
-        C->Dead = true;
-        ++Stats.WriteFailures;
-      }
-    }
-    C->Pending.erase(C->Pending.begin());
-    ++C->NextWrite;
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Inline ops
@@ -242,7 +99,7 @@ std::string Server::Impl::healthzRecord(const std::string &Id) {
   W.field("record", "healthz");
   W.field("id", Id);
   W.field("ok", true);
-  W.field("draining", Draining.load());
+  W.field("draining", L.draining());
   W.endObject();
   return W.take();
 }
@@ -259,7 +116,7 @@ std::string Server::Impl::statzRecord(const std::string &Id) {
   W.field("record", "statz");
   W.field("id", Id);
   W.field("ok", true);
-  W.field("draining", Draining.load());
+  W.field("draining", L.draining());
   W.field("queue_depth", static_cast<uint64_t>(Depth));
   W.field("queue_capacity", static_cast<uint64_t>(Opts.QueueCapacity));
   W.field("jobs", static_cast<uint64_t>(Opts.Jobs));
@@ -362,16 +219,16 @@ void Server::Impl::dispatch(const ConnPtr &C, uint64_t Seq,
     if (!Op.empty()) {
       ++Stats.InlineOps;
       if (Op == "healthz")
-        deliver(C, Seq, healthzRecord(Id));
+        L.deliver(C, Seq, healthzRecord(Id));
       else if (Op == "statz")
-        deliver(C, Seq, statzRecord(Id));
+        L.deliver(C, Seq, statzRecord(Id));
       else if (Op == "persist")
-        deliver(C, Seq, persistRecord(Id));
+        L.deliver(C, Seq, persistRecord(Id));
       else
-        deliver(C, Seq,
-                engine::makeErrorRecord("irlt-serve", Id,
-                                        engine::errkind::Request,
-                                        "unknown op '" + Op + "'"));
+        L.deliver(C, Seq,
+                  engine::makeErrorRecord("irlt-serve", Id,
+                                          engine::errkind::Request,
+                                          "unknown op '" + Op + "'"));
       return;
     }
     int64_t D = Doc->intOr("deadline_ms", -1);
@@ -379,12 +236,12 @@ void Server::Impl::dispatch(const ConnPtr &C, uint64_t Seq,
       DeadlineMs = static_cast<uint64_t>(D);
   }
 
-  if (Draining.load()) {
+  if (L.draining()) {
     ++Stats.DrainRejects;
-    deliver(C, Seq,
-            engine::makeErrorRecord("irlt-serve", Id,
-                                    engine::errkind::Draining,
-                                    "server is draining; request rejected"));
+    L.deliver(C, Seq,
+              engine::makeErrorRecord("irlt-serve", Id,
+                                      engine::errkind::Draining,
+                                      "server is draining; request rejected"));
     return;
   }
 
@@ -409,72 +266,11 @@ void Server::Impl::dispatch(const ConnPtr &C, uint64_t Seq,
     }
   }
   ++Stats.Shed;
-  deliver(C, Seq,
-          engine::makeErrorRecord(
-              "irlt-serve", Id, engine::errkind::Overloaded,
-              "admission queue full (" + std::to_string(Opts.QueueCapacity) +
-                  " pending); retry later"));
-}
-
-//===----------------------------------------------------------------------===//
-// Reader thread: socket -> FrameReader -> dispatch
-//===----------------------------------------------------------------------===//
-
-void Server::Impl::readerLoop(ConnPtr C) {
-  FrameReader FR(Opts.MaxFrameBytes);
-  char Buf[4096];
-  // The short-read fault degrades the transport to one byte per read;
-  // the frame parser must produce identical results (it is a pure
-  // incremental state machine), which the fault-matrix test pins.
-  size_t ReadLen = Opts.Faults.ShortRead ? 1 : sizeof(Buf);
-
-  for (;;) {
-    ssize_t N = ::read(C->Fd, Buf, ReadLen);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break; // connection error: drop
-    }
-    if (N == 0) {
-      // EOF. Mid-frame, that is the "truncated frame" case: report it
-      // on the (possibly still open) write side, then close.
-      if (FR.midFrame()) {
-        ++Stats.BadFrames;
-        deliver(C, C->NextSeq++,
-                engine::makeErrorRecord(
-                    "irlt-serve", "-", engine::errkind::BadFrame,
-                    "truncated frame: connection closed with " +
-                        std::to_string(FR.bufferedBytes()) +
-                        " bytes of an incomplete frame"));
-      }
-      break;
-    }
-    FR.feed(Buf, static_cast<size_t>(N));
-    std::string Payload;
-    FrameReader::Status S;
-    while ((S = FR.next(Payload)) == FrameReader::Status::Frame) {
-      ++Stats.FramesIn;
-      uint64_t Seq = C->NextSeq++;
-      dispatch(C, Seq, std::move(Payload));
-      Payload.clear();
-    }
-    if (S == FrameReader::Status::Error) {
-      // The byte stream cannot be resynchronized after a framing
-      // error: one structured reject, then close.
-      ++Stats.BadFrames;
-      deliver(C, C->NextSeq++,
-              engine::makeErrorRecord(
-                  "irlt-serve", "-", engine::errkind::BadFrame,
-                  std::string("framing error: ") +
-                      FrameReader::errorName(FR.error())));
-      break;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    LiveFds.erase(C->Fd);
-  }
+  L.deliver(C, Seq,
+            engine::makeErrorRecord(
+                "irlt-serve", Id, engine::errkind::Overloaded,
+                "admission queue full (" + std::to_string(Opts.QueueCapacity) +
+                    " pending); retry later"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -535,7 +331,7 @@ void Server::Impl::workerLoop() {
     if (IsDeadline)
       ++Stats.Deadline;
     ++Stats.Served;
-    deliver(J.C, J.Seq, Record);
+    L.deliver(J.C, J.Seq, Record);
 
     // The worker-kill fault: crash the whole process right *after* the
     // marked request's response went out (so that response is already
@@ -554,78 +350,6 @@ void Server::Impl::workerLoop() {
 }
 
 //===----------------------------------------------------------------------===//
-// Accept loop + drain
-//===----------------------------------------------------------------------===//
-
-void Server::Impl::acceptLoop() {
-  for (;;) {
-    pollfd Fds[2] = {{ListenFd, POLLIN, 0}, {PipeR, POLLIN, 0}};
-    if (::poll(Fds, 2, -1) < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Fds[1].revents) {
-      Draining.store(true);
-      break;
-    }
-    if (!(Fds[0].revents & POLLIN))
-      continue;
-
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
-      continue;
-    setCloexec(Fd);
-
-    // Reap finished readers so MaxConns gates *live* connections.
-    for (size_t I = 0; I < Readers.size();) {
-      if (Readers[I]->Done.load()) {
-        Readers[I]->T.join();
-        Readers.erase(Readers.begin() + static_cast<ptrdiff_t>(I));
-      } else {
-        ++I;
-      }
-    }
-
-    if (Opts.WriteTimeoutMillis) {
-      timeval Tv{};
-      Tv.tv_sec = static_cast<time_t>(Opts.WriteTimeoutMillis / 1000);
-      Tv.tv_usec =
-          static_cast<suseconds_t>((Opts.WriteTimeoutMillis % 1000) * 1000);
-      ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv));
-    }
-
-    if (Readers.size() >= Opts.MaxConns) {
-      ++Stats.ConnsRejected;
-      writeAll(Fd, encodeFrame(engine::makeErrorRecord(
-                       "irlt-serve", "-", engine::errkind::Overloaded,
-                       "connection limit reached (" +
-                           std::to_string(Opts.MaxConns) + ")")));
-      ::close(Fd);
-      continue;
-    }
-
-    ++Stats.ConnsAccepted;
-    auto C = std::make_shared<Conn>();
-    C->Fd = Fd;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      LiveFds.insert(Fd);
-    }
-    auto Slot = std::make_unique<ReaderSlot>();
-    ReaderSlot *Raw = Slot.get();
-    Raw->T = std::thread([this, C, Raw]() mutable {
-      readerLoop(std::move(C));
-      Raw->Done.store(true);
-    });
-    Readers.push_back(std::move(Slot));
-  }
-
-  ::close(ListenFd);
-  ListenFd = -1;
-}
-
-//===----------------------------------------------------------------------===//
 // Public surface
 //===----------------------------------------------------------------------===//
 
@@ -634,32 +358,16 @@ Server::Server(ServeOptions Opts) : M(std::make_unique<Impl>(std::move(Opts))) {
 Server::~Server() {
   // Safety net for a started-but-never-run() server (error paths in the
   // tool): drain so every thread is joined before members are torn down.
-  if (M->AcceptThread.joinable()) {
+  if (M->L.started()) {
     requestDrain();
     run();
   }
-  if (M->PipeR >= 0)
-    ::close(M->PipeR);
-  if (M->PipeW >= 0)
-    ::close(M->PipeW);
-  if (M->ListenFd >= 0)
-    ::close(M->ListenFd);
-  if (!M->Opts.SocketPath.empty())
-    ::unlink(M->Opts.SocketPath.c_str());
 }
 
 ErrorOr<bool> Server::start() {
-  ErrorOr<bool> Bound = M->bindSocket();
+  ErrorOr<bool> Bound = M->L.open();
   if (!Bound)
     return Bound;
-
-  int Pipe[2];
-  if (::pipe(Pipe) != 0)
-    return Failure(Diag::error("serve: pipe() failed"));
-  M->PipeR = Pipe[0];
-  M->PipeW = Pipe[1];
-  setCloexec(M->PipeR);
-  setCloexec(M->PipeW);
 
   if (!M->Opts.PersistPath.empty())
     M->Loaded =
@@ -668,23 +376,14 @@ ErrorOr<bool> Server::start() {
   unsigned Jobs = M->Opts.Jobs ? M->Opts.Jobs : 1;
   for (unsigned I = 0; I < Jobs; ++I)
     M->Workers.emplace_back([this] { M->workerLoop(); });
-  M->AcceptThread = std::thread([this] { M->acceptLoop(); });
+  M->L.start();
   return true;
 }
 
 bool Server::run() {
-  M->AcceptThread.join();
-
-  // Drain: wake every blocked reader; buffered complete frames still
-  // dispatch ("draining" rejects from here on), then readers exit.
-  {
-    std::lock_guard<std::mutex> Lock(M->ConnMu);
-    for (int Fd : M->LiveFds)
-      ::shutdown(Fd, SHUT_RD);
-  }
-  for (auto &Slot : M->Readers)
-    Slot->T.join();
-  M->Readers.clear();
+  // Stop accepting and join every reader: from here on nothing more is
+  // admitted.
+  M->L.drain();
 
   // Every admitted request completes: workers exit only on empty queue.
   {
@@ -704,15 +403,9 @@ bool Server::run() {
   return M->Stats.WriteFailures.load() == 0;
 }
 
-void Server::requestDrain() {
-  // write() is async-signal-safe; this is the whole point of the pipe.
-  if (M->PipeW >= 0) {
-    char B = 1;
-    [[maybe_unused]] ssize_t N = ::write(M->PipeW, &B, 1);
-  }
-}
+void Server::requestDrain() { M->L.requestDrain(); }
 
-int Server::boundPort() const { return M->BoundPort; }
+int Server::boundPort() const { return M->L.boundPort(); }
 const ServerStats &Server::stats() const { return M->Stats; }
 const JournalLoadResult &Server::journalLoad() const { return M->Loaded; }
 uint64_t Server::persistedEntries() const { return M->Persisted.load(); }

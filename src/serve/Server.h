@@ -7,7 +7,8 @@
 /// \file
 /// The long-lived service core behind tools/irlt-serve (docs/SERVE.md):
 /// accepts framed connections (serve/Frame.h) on a Unix-domain or
-/// loopback TCP socket, admits request frames into a bounded queue, and
+/// loopback TCP socket (serve/Listener.h, the connection layer it shares
+/// with irlt-front), admits request frames into a bounded queue, and
 /// executes them on a worker pool that shares one api::Pipeline - the
 /// same engine::processRequest core as irlt-batch, so a given request
 /// line produces a byte-identical result record in both tools, with a
@@ -21,14 +22,9 @@
 ///   deadlines    each request carries deadline_ms (or the server
 ///                default), measured from *arrival*; expiry cancels at
 ///                stage boundaries with a structured "deadline" record
-///   ordering     responses are delivered per-connection in request
-///                order (sequence numbers + a completed-prefix reorder
-///                buffer), so clients can pipeline frames
-///   slow clients writes carry SO_SNDTIMEO; a stalled client loses its
-///                connection, never a worker
-///   bad frames   framing errors produce one structured "bad_frame"
-///                record and a close - a broken client cannot wedge the
-///                daemon
+///   connections  serve/Listener.h: the connection limit, in-order
+///                responses (clients can pipeline frames), write
+///                timeouts, and structured "bad_frame" rejects
 ///   drain        requestDrain() (async-signal-safe; SIGTERM/SIGINT
 ///                handlers call it) stops accepting, completes every
 ///                admitted request, flushes every response, persists
@@ -55,6 +51,7 @@
 
 #include "serve/Frame.h"
 #include "serve/Journal.h"
+#include "serve/Listener.h"
 #include "support/FaultInject.h"
 
 #include <atomic>
@@ -104,13 +101,11 @@ struct ServeOptions {
 };
 
 /// Monotonic counters, readable while the server runs (statz) and after
-/// run() returns (the tool's exit record). Reconciliation invariant:
+/// run() returns (the tool's exit record); the connection counters come
+/// from ListenerStats. Reconciliation invariant:
 ///   FramesIn == InlineOps + Admitted + Shed + DrainRejects
 ///   Admitted == Served(results) with no request lost on drain
-struct ServerStats {
-  std::atomic<uint64_t> ConnsAccepted{0};
-  std::atomic<uint64_t> ConnsRejected{0}; ///< over MaxConns
-  std::atomic<uint64_t> FramesIn{0};
+struct ServerStats : ListenerStats {
   std::atomic<uint64_t> InlineOps{0};
   std::atomic<uint64_t> Admitted{0};
   std::atomic<uint64_t> Shed{0};         ///< "overloaded" rejects
@@ -118,8 +113,6 @@ struct ServerStats {
   std::atomic<uint64_t> Deadline{0};     ///< "deadline" records
   std::atomic<uint64_t> Served{0};       ///< result records written
   std::atomic<uint64_t> Errors{0};       ///< "ok": false results
-  std::atomic<uint64_t> BadFrames{0};    ///< framing errors
-  std::atomic<uint64_t> WriteFailures{0};
 };
 
 /// The daemon. Lifecycle: construct, start() (binds, spawns threads; a

@@ -38,6 +38,22 @@ std::string irlt::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
+bool irlt::parseU64(std::string_view S, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : S) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}
+
 void IndentedWriter::line(const std::string &Text) {
   Buffer.append(static_cast<size_t>(Level) * IndentWidth, ' ');
   Buffer += Text;

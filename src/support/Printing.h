@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string-building utilities: printf-style formatting into
-/// std::string, joining ranges, and an indentation-tracking text writer
-/// used by the loop-nest printers.
+/// Small string utilities: printf-style formatting into std::string,
+/// joining ranges, the tools' strict decimal parser, and an
+/// indentation-tracking text writer used by the loop-nest printers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,9 @@
 #define IRLT_SUPPORT_PRINTING_H
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace irlt {
@@ -26,6 +28,11 @@ std::string formatStr(const char *Fmt, ...) __attribute__((format(printf, 1, 2))
 /// Joins the elements of \p Parts with \p Sep.
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);
+
+/// Strict decimal parse of a command-line number: false on an empty
+/// string, a non-digit (sign and whitespace included) or a value past
+/// UINT64_MAX, leaving \p Out untouched.
+bool parseU64(std::string_view S, uint64_t &Out);
 
 /// A line-oriented text writer that tracks the current indentation level.
 /// Used by the loop-nest printer to emit nested `do`/`enddo` blocks.

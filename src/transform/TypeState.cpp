@@ -507,7 +507,7 @@ ErrorOr<NestTypeState> mapBlock(const BlockTemplate &T,
     B.EndComposite = In.EndComposite;
     std::optional<int64_t> BV = T.bsize()[K - Lo]->constValue();
     if (In.StepConst && BV) {
-      B.StepConst = *In.StepConst * *BV;
+      B.StepConst = mulChecked(*In.StepConst, *BV);
       B.Step = ExprTypes::constant();
     } else {
       B.StepConst = std::nullopt;
@@ -729,7 +729,7 @@ ErrorOr<NestTypeState> mapInterleave(const InterleaveTemplate &T,
     E.Step = In.Step.remapped(RemapElem);
     std::optional<int64_t> IV = T.isize()[K - Lo]->constValue();
     if (In.StepConst && IV) {
-      E.StepConst = *In.StepConst * *IV;
+      E.StepConst = mulChecked(*In.StepConst, *IV);
     } else {
       E.StepConst = std::nullopt;
       E.Step.clearConst();

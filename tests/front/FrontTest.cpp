@@ -9,9 +9,9 @@
 /// irlt-serve worker subprocesses (IRLT_SERVE_PATH from the build): the
 /// byte-identity anchor against a direct single-process server, inline-op
 /// fan-out, window shedding, worker-crash and worker-hang recovery, drain
-/// aggregation, and structured bad-frame rejects. Every recv carries a
-/// timeout so a supervision regression fails instead of hanging the
-/// suite.
+/// aggregation, structured bad-frame and connection-limit rejects, and
+/// close-on-exec descriptors. Every recv carries a timeout so a
+/// supervision regression fails instead of hanging the suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,9 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace irlt;
 using namespace irlt::front;
@@ -127,6 +132,23 @@ bool waitHealthy(const std::string &Sock, int Millis) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   return false;
+}
+
+/// The descriptors open in this process.
+std::set<int> openFds() {
+  std::set<int> Fds;
+  for (const auto &E : std::filesystem::directory_iterator("/proc/self/fd"))
+    Fds.insert(std::stoi(E.path().filename().string()));
+  return Fds;
+}
+
+/// What descriptor \p Fd refers to ("socket:[N]", "pipe:[N]", a path), or
+/// "" once it is closed.
+std::string fdTarget(int Fd) {
+  char Buf[256];
+  std::string Link = "/proc/self/fd/" + std::to_string(Fd);
+  ssize_t N = ::readlink(Link.c_str(), Buf, sizeof(Buf) - 1);
+  return N > 0 ? std::string(Buf, static_cast<size_t>(N)) : std::string();
 }
 
 } // namespace
@@ -357,6 +379,135 @@ TEST(Front, GarbageBytesGetBadFrameRecordThenClose) {
   F.requestDrain();
   EXPECT_TRUE(F.run());
   EXPECT_EQ(F.stats().BadFrames.load(), 1u);
+}
+
+TEST(Front, TruncatedFrameAtEofGetsBadFrameRecord) {
+  FrontOptions O = frontOpts("trunc", 1);
+  Front F(O);
+  auto St = F.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto C = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+    // A valid header declaring 64 bytes, 5 bytes of payload, then EOF.
+    std::string Raw(FrameMagic, 4);
+    Raw += std::string(1, '\x40') + std::string(3, '\0');
+    Raw += "hello";
+    ASSERT_TRUE(C->sendRaw(Raw));
+    C->finishWrites();
+    auto P = C->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(P)) << P.message();
+    EXPECT_NE(P->find("\"kind\":\"bad_frame\""), std::string::npos) << *P;
+    EXPECT_NE(P->find("\"tool\":\"irlt-front\""), std::string::npos) << *P;
+    EXPECT_NE(P->find("truncated"), std::string::npos);
+  }
+  F.requestDrain();
+  EXPECT_TRUE(F.run());
+  EXPECT_EQ(F.stats().BadFrames.load(), 1u);
+}
+
+TEST(Front, ShortReadFaultStillServesCorrectly) {
+  // 1-byte socket reads on the front (and on its workers, which get the
+  // fault forwarded) must not change a response byte.
+  std::vector<std::string> Reqs = corpus();
+  std::vector<std::string> Baseline = directServe("shortread_direct", Reqs);
+  FrontOptions O = frontOpts("shortread", 2);
+  O.Faults.ShortRead = true;
+  Front F(O);
+  auto St = F.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto C = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+    EXPECT_EQ(roundTrip(*C, Reqs), Baseline);
+  }
+  F.requestDrain();
+  EXPECT_TRUE(F.run());
+}
+
+TEST(Front, ConnectionLimitRejectsWithOneOverloadedRecordThenEof) {
+  FrontOptions O = frontOpts("maxconns", 1);
+  O.MaxConns = 1;
+  Front F(O);
+  auto St = F.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    // A round trip on the held connection proves it was accepted before
+    // the second one arrives.
+    auto Held = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(Held)) << Held.message();
+    ASSERT_TRUE(Held->sendFrame(R"({"op":"healthz","id":"h"})"));
+    auto H = Held->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+
+    auto Extra = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(Extra)) << Extra.message();
+    auto P = Extra->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(P)) << P.message();
+    EXPECT_EQ(*P, R"({"schema_version":1,"tool":"irlt-front","id":"-",)"
+                  R"("ok":false,"error":{"kind":"overloaded",)"
+                  R"x("message":"connection limit reached (1)"}})x");
+    auto After = Extra->recvFrame(RecvMs);
+    ASSERT_FALSE(static_cast<bool>(After));
+    EXPECT_NE(After.message().find("connection closed"), std::string::npos)
+        << After.message();
+
+    ASSERT_TRUE(Held->sendFrame(R"({"op":"statz","id":"s"})"));
+    auto Z = Held->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(Z)) << Z.message();
+    EXPECT_NE(Z->find("\"conns_accepted\":1,"), std::string::npos) << *Z;
+    EXPECT_NE(Z->find("\"conns_rejected\":1,"), std::string::npos) << *Z;
+  }
+  F.requestDrain();
+  EXPECT_TRUE(F.run());
+}
+
+TEST(Front, EverySocketAndPipeIsCloseOnExec) {
+  // The front forks workers, and the server forks compilers, while their
+  // threads accept and connect: a descriptor that is not close-on-exec
+  // from birth can leak into a child and hold a connection open after
+  // its owner closed it. Check every socket and pipe this process opened
+  // while an in-process server and a front each serve a client.
+  std::set<int> Before = openFds();
+
+  ServeOptions SO;
+  SO.SocketPath = sockPath("cloexec_direct");
+  Server S(SO);
+  auto SSt = S.start();
+  ASSERT_TRUE(static_cast<bool>(SSt)) << SSt.message();
+  FrontOptions O = frontOpts("cloexec", 2);
+  Front F(O);
+  auto St = F.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto ToServer = connectUnix(SO.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(ToServer)) << ToServer.message();
+    auto ToFront = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(ToFront)) << ToFront.message();
+    std::vector<std::string> Reqs = corpus();
+    Reqs.push_back(R"({"op":"statz","id":"s"})"); // the ops fan-out
+    roundTrip(*ToServer, Reqs);
+    roundTrip(*ToFront, Reqs);
+
+    size_t Checked = 0;
+    for (int Fd : openFds()) {
+      if (Before.count(Fd))
+        continue;
+      std::string Target = fdTarget(Fd);
+      if (Target.rfind("socket:", 0) != 0 && Target.rfind("pipe:", 0) != 0)
+        continue;
+      ++Checked;
+      EXPECT_TRUE(::fcntl(Fd, F_GETFD) & FD_CLOEXEC)
+          << "fd " << Fd << " (" << Target << ") is inherited across exec";
+    }
+    // Listeners, drain pipes, accepted and client sockets, the front's
+    // worker connections and stdout pipes.
+    EXPECT_GE(Checked, 10u);
+  }
+  F.requestDrain();
+  EXPECT_TRUE(F.run());
+  S.requestDrain();
+  EXPECT_TRUE(S.run());
 }
 
 TEST(Front, DrainAggregatesWorkerRecords) {

@@ -8,9 +8,9 @@
 /// Drives a Server instance in-process over real sockets: inline ops,
 /// pipelined ordering, the determinism anchor (byte-identical responses
 /// across worker counts and cache cold/warm/restored), admission
-/// shedding, deadlines, structured bad-frame rejects, worker-throw, and
-/// the drain lifecycle. Every recv carries a timeout so a regression
-/// fails instead of hanging the suite.
+/// shedding, deadlines, structured bad-frame and connection-limit
+/// rejects, worker-throw, and the drain lifecycle. Every recv carries a
+/// timeout so a regression fails instead of hanging the suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -554,6 +554,44 @@ TEST(Server, ShortReadFaultStillServesCorrectly) {
   Frag.SocketPath = sockPath("shortread");
   Frag.Faults.ShortRead = true;
   EXPECT_EQ(serveOnce(Frag, Reqs), Baseline);
+}
+
+TEST(Server, ConnectionLimitRejectsWithOneOverloadedRecordThenEof) {
+  ServeOptions O;
+  O.SocketPath = sockPath("maxconns");
+  O.MaxConns = 1;
+  Server S(O);
+  auto St = S.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    // A round trip on the held connection proves it was accepted before
+    // the second one arrives.
+    auto Held = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(Held)) << Held.message();
+    ASSERT_TRUE(Held->sendFrame(R"({"op":"healthz","id":"h"})"));
+    auto H = Held->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(H)) << H.message();
+
+    auto Extra = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(Extra)) << Extra.message();
+    auto P = Extra->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(P)) << P.message();
+    EXPECT_EQ(*P, R"({"schema_version":1,"tool":"irlt-serve","id":"-",)"
+                  R"("ok":false,"error":{"kind":"overloaded",)"
+                  R"x("message":"connection limit reached (1)"}})x");
+    auto After = Extra->recvFrame(RecvMs);
+    ASSERT_FALSE(static_cast<bool>(After));
+    EXPECT_NE(After.message().find("connection closed"), std::string::npos)
+        << After.message();
+
+    ASSERT_TRUE(Held->sendFrame(R"({"op":"statz","id":"s"})"));
+    auto Z = Held->recvFrame(RecvMs);
+    ASSERT_TRUE(static_cast<bool>(Z)) << Z.message();
+    EXPECT_EQ(u64Field(*Z, "conns_accepted"), 1u);
+    EXPECT_EQ(u64Field(*Z, "conns_rejected"), 1u);
+  }
+  S.requestDrain();
+  EXPECT_TRUE(S.run());
 }
 
 TEST(Server, TcpLoopbackModeWorks) {

@@ -18,6 +18,19 @@ TEST(Printing, Join) {
   EXPECT_EQ(join({"x"}, ", "), "x");
 }
 
+TEST(Printing, ParseU64) {
+  uint64_t V = 7;
+  EXPECT_FALSE(parseU64("", V));
+  EXPECT_FALSE(parseU64("12a", V));
+  EXPECT_FALSE(parseU64("-1", V));
+  EXPECT_FALSE(parseU64("18446744073709551616", V)); // UINT64_MAX + 1
+  EXPECT_EQ(V, 7u) << "a failed parse leaves the output untouched";
+  EXPECT_TRUE(parseU64("0", V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseU64("18446744073709551615", V));
+  EXPECT_EQ(V, UINT64_MAX);
+}
+
 TEST(Printing, IndentedWriter) {
   IndentedWriter W;
   W.line("do i = 1, n");

@@ -193,6 +193,15 @@ TEST(TypeState, FastLegalAgreesWithFullOnFigurePipelines) {
   Cases.push_back({Tri, TransformSequence::of(
                             {makeStripMine(2, 2, Expr::intConst(4)),
                              makeParallelize(3, {true, false, false})})});
+  // A constant step times a constant block or phase size leaves the
+  // int64 range: both modes must reject with Overflow.
+  LoopNest Huge = parse("arrays B\ndo i = 1, n, 4611686018427387904\n"
+                        "  do j = 1, n\n    A(i, j) = B(i, j)\n"
+                        "  enddo\nenddo\n");
+  std::vector<ExprRef> Fours = {Expr::intConst(4), Expr::intConst(4)};
+  Cases.push_back({Huge, TransformSequence::of({makeBlock(2, 1, 2, Fours)})});
+  Cases.push_back(
+      {Huge, TransformSequence::of({makeInterleave(2, 1, 2, Fours)})});
 
   for (size_t I = 0; I < Cases.size(); ++I) {
     const Case &C = Cases[I];
@@ -205,6 +214,7 @@ TEST(TypeState, FastLegalAgreesWithFullOnFigurePipelines) {
     if (Full.Legal && Fast.Legal) {
       EXPECT_EQ(Full.FinalDeps.str(), Fast.FinalDeps.str());
     }
+    EXPECT_EQ(Full.Kind, Fast.Kind) << "case " << I;
   }
 }
 

@@ -55,6 +55,7 @@
 
 #include "front/Front.h"
 #include "support/Json.h"
+#include "support/Printing.h"
 
 #include <csignal>
 #include <cstdio>
@@ -96,22 +97,6 @@ int printFaultKinds() {
   for (const std::string &N : faultKindNames())
     std::fprintf(stdout, "%s\n", N.c_str());
   return 0;
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t D = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
 }
 
 /// The worker binary ships next to this one; derive the default from

@@ -67,6 +67,7 @@
 #include "api/Pipeline.h"
 #include "serve/WireFuzz.h"
 #include "support/Json.h"
+#include "support/Printing.h"
 
 #include <atomic>
 #include <csignal>
@@ -93,23 +94,6 @@ void usage(const char *Argv0) {
                " [--search] [--deps] [--wire] [--native] [--verbose]"
                " [--json]\n",
                Argv0);
-}
-
-/// Strict decimal parse; false on empty / non-digit / overflow.
-bool parseU64(const char *S, uint64_t &Out) {
-  if (!*S)
-    return false;
-  uint64_t V = 0;
-  for (; *S; ++S) {
-    if (*S < '0' || *S > '9')
-      return false;
-    uint64_t D = static_cast<uint64_t>(*S - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
 }
 
 } // namespace

@@ -50,6 +50,7 @@
 
 #include "serve/Server.h"
 #include "support/Json.h"
+#include "support/Printing.h"
 
 #include <chrono>
 #include <csignal>
@@ -90,22 +91,6 @@ int printFaultKinds() {
   for (const std::string &N : faultKindNames())
     std::fprintf(stdout, "%s\n", N.c_str());
   return 0;
-}
-
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t D = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - D) / 10)
-      return false;
-    V = V * 10 + D;
-  }
-  Out = V;
-  return true;
 }
 
 } // namespace
