@@ -4,14 +4,17 @@
 // built from the paper's bench nests at 1, 4, and 8 worker threads.
 // Records requests/s, the shared-cache hit rates, and the p50/p95
 // whole-request latency, so BENCH_batch.json tracks both scaling and
-// cache effectiveness. The result stream is byte-identical across the
-// thread counts by contract; only throughput may differ.
+// cache effectiveness. Every iteration starts cold, the global legality
+// engine included, so the thread-count series compare like with like.
+// The result stream is byte-identical across the thread counts by
+// contract; only throughput may differ.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchNests.h"
 
 #include "engine/Engine.h"
+#include "legality/IncrementalEngine.h"
 #include "support/Json.h"
 
 #include "BenchMain.h"
@@ -64,7 +67,10 @@ void BM_BatchEngineThreads(benchmark::State &State) {
   O.Jobs = static_cast<unsigned>(State.range(0));
   engine::EngineMetrics M;
   for (auto _ : State) {
-    engine::BatchEngine E(O); // cold caches each iteration
+    // Cold caches each iteration: the engine's, and the process-global
+    // legality engine that would otherwise stay warm across series.
+    legality::IncrementalEngine::global().clear();
+    engine::BatchEngine E(O);
     std::string Out = E.runToString(Lines, &M);
     benchmark::DoNotOptimize(Out);
   }
@@ -92,6 +98,7 @@ void BM_BatchEngineCache(benchmark::State &State) {
   O.EnableCache = State.range(0) != 0;
   engine::EngineMetrics M;
   for (auto _ : State) {
+    legality::IncrementalEngine::global().clear();
     engine::BatchEngine E(O);
     std::string Out = E.runToString(Lines, &M);
     benchmark::DoNotOptimize(Out);

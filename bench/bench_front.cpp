@@ -137,14 +137,14 @@ void BM_FrontVsDirectThroughput(benchmark::State &State) {
       S.run();
     } else {
       front::FrontOptions O;
-      O.SocketPath = sockPath("front");
+      O.Serve.SocketPath = sockPath("front");
       O.Shards = Shards;
       O.ServeBinary = IRLT_SERVE_PATH;
       front::Front F(O);
       if (!F.start())
         continue;
-      ColdNs = timedPass(O.SocketPath, Lines);
-      WarmNs = timedPass(O.SocketPath, Lines);
+      ColdNs = timedPass(O.Serve.SocketPath, Lines);
+      WarmNs = timedPass(O.Serve.SocketPath, Lines);
       F.requestDrain();
       F.run();
     }
@@ -168,17 +168,17 @@ void BM_FrontRestartToHealthy(benchmark::State &State) {
   uint64_t RestartNs = 0;
   for (auto _ : State) {
     front::FrontOptions O;
-    O.SocketPath = sockPath("restart");
+    O.Serve.SocketPath = sockPath("restart");
     O.Shards = 1;
     O.ServeBinary = IRLT_SERVE_PATH;
-    O.Faults.WorkerKill = true;
+    O.Serve.Faults.WorkerKill = true;
     O.RestartBackoffMillis = 50;
     O.ProbeIntervalMillis = 100;
     front::Front F(O);
     if (!F.start())
       continue;
     {
-      ErrorOr<serve::ClientConn> C = serve::connectUnix(O.SocketPath);
+      ErrorOr<serve::ClientConn> C = serve::connectUnix(O.Serve.SocketPath);
       if (!C)
         continue;
       std::string Req = "{\"id\": \"kill-now\", \"nest\": \"" +
@@ -188,7 +188,7 @@ void BM_FrontRestartToHealthy(benchmark::State &State) {
         continue;
     }
     // The worker is now dead (or dying); clock the full recovery.
-    RestartNs = waitDownThenHealthyNs(O.SocketPath, /*Millis=*/30000);
+    RestartNs = waitDownThenHealthyNs(O.Serve.SocketPath, /*Millis=*/30000);
     F.requestDrain();
     F.run();
   }

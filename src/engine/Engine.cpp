@@ -96,21 +96,6 @@ void writeLegality(json::JsonWriter &W, const LegalityResult &L) {
     W.field("final_deps", L.FinalDeps.str());
 }
 
-void writeValidation(json::JsonWriter &W, const witness::LadderResult &LR) {
-  W.key("validate").beginObject();
-  W.field("chosen", static_cast<int64_t>(LR.Chosen));
-  W.field("fell_back_to_identity", LR.fellBackToIdentity());
-  W.key("outcomes").beginArray();
-  for (const witness::CandidateOutcome &O : LR.Outcomes) {
-    W.beginObject();
-    W.field("status", witness::validateStatusName(O.Status));
-    W.field("detail", O.Detail);
-    W.endObject();
-  }
-  W.endArray();
-  W.endObject();
-}
-
 /// Fails \p Out with a structured error record and returns it.
 RequestOutcome fail(RequestOutcome &&Out, const EngineOptions &EO,
                     const std::string &Id, const char *Kind,
@@ -291,11 +276,8 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
     if ((Req.ValidateBudget || Req.ValidateNative) && SR.Best) {
       if (deadlineExpired("validate", Req.Id))
         return Out;
-      witness::ValidateOptions VO = Req.ValidateNative
-                                        ? witness::ValidateOptions::nativeDefaults()
-                                        : witness::ValidateOptions::defaults();
-      if (Req.ValidateBudget)
-        VO.MaxInstances = Req.ValidateBudget;
+      witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
+          Req.ValidateNative, Req.ValidateBudget);
       VO.ReproDir.clear(); // no filesystem writes from engine workers
       std::vector<TransformSequence> Cands;
       for (const search::ScoredSequence &S : SR.Top)
@@ -305,7 +287,7 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
       witness::LadderResult LR =
           timed(Sampler, Stage::Validate,
                 [&] { return P.validate(Nest, Cands, VO); });
-      writeValidation(W, LR);
+      witness::writeLadder(W, LR);
       Seq = LR.fellBackToIdentity() ? TransformSequence()
                                     : Cands[static_cast<size_t>(LR.Chosen)];
     }
@@ -375,17 +357,14 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
     if ((Req.ValidateBudget || Req.ValidateNative) && SeqLegal) {
       if (deadlineExpired("validate", Req.Id))
         return Out;
-      witness::ValidateOptions VO = Req.ValidateNative
-                                        ? witness::ValidateOptions::nativeDefaults()
-                                        : witness::ValidateOptions::defaults();
-      if (Req.ValidateBudget)
-        VO.MaxInstances = Req.ValidateBudget;
+      witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
+          Req.ValidateNative, Req.ValidateBudget);
       VO.ReproDir.clear();
       std::vector<TransformSequence> Cands{Seq};
       witness::LadderResult LR =
           timed(Sampler, Stage::Validate,
                 [&] { return P.validate(Nest, Cands, VO); });
-      writeValidation(W, LR);
+      witness::writeLadder(W, LR);
       if (LR.fellBackToIdentity())
         Seq = TransformSequence();
     }

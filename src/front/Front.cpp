@@ -38,6 +38,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using serve::ConnPtr;
 
+/// Route cache bound (nest source -> shard index).
+constexpr size_t RouteCacheCapacity = 4096;
+
 std::chrono::milliseconds ms(uint64_t N) {
   return std::chrono::milliseconds(N);
 }
@@ -130,15 +133,9 @@ struct Front::Impl {
 
   explicit Impl(FrontOptions O)
       : Opts(std::move(O)), RouteP(api::PipelineOptions{false, {}, 0}),
-        RouteCache(Opts.RouteCacheCapacity),
-        L({.Name = "front",
-           .SocketPath = Opts.SocketPath,
-           .TcpPort = Opts.TcpPort,
-           .MaxConns = Opts.MaxConns,
-           .MaxFrameBytes = Opts.MaxFrameBytes,
-           .WriteTimeoutMillis = Opts.WriteTimeoutMillis,
-           .ShortRead = Opts.Faults.ShortRead},
-          Stats, [this](const ConnPtr &C, uint64_t Seq, std::string Payload) {
+        RouteCache(RouteCacheCapacity),
+        L(Opts.Serve.listener("front"), Stats,
+          [this](const ConnPtr &C, uint64_t Seq, std::string Payload) {
             dispatch(C, Seq, std::move(Payload));
           }) {}
 
@@ -188,46 +185,17 @@ struct Front::Impl {
 //===----------------------------------------------------------------------===//
 
 std::vector<std::string> Front::Impl::workerArgs(const Shard &S) const {
-  std::vector<std::string> A;
-  A.push_back(Opts.ServeBinary);
-  A.push_back("--socket");
-  A.push_back(S.SockPath);
-  A.push_back("--jobs");
-  A.push_back(std::to_string(Opts.WorkerJobs ? Opts.WorkerJobs : 1));
-  if (!Opts.EnableCache)
-    A.push_back("--no-cache");
-  if (Opts.CacheCapacity) {
-    A.push_back("--cache-cap");
-    A.push_back(std::to_string(Opts.CacheCapacity));
-  }
-  A.push_back("--queue-cap");
-  A.push_back(std::to_string(Opts.QueueCapacity ? Opts.QueueCapacity : 64));
-  if (Opts.DefaultDeadlineMillis) {
-    A.push_back("--deadline-ms");
-    A.push_back(std::to_string(Opts.DefaultDeadlineMillis));
-  }
-  if (!S.PersistPath.empty()) {
-    A.push_back("--persist");
-    A.push_back(S.PersistPath);
-    if (Opts.JournalCapacity) {
-      A.push_back("--journal-cap");
-      A.push_back(std::to_string(Opts.JournalCapacity));
-    }
-  }
-  if (Opts.WriteTimeoutMillis) {
-    A.push_back("--write-timeout-ms");
-    A.push_back(std::to_string(Opts.WriteTimeoutMillis));
-  }
+  serve::ServeOptions W = Opts.Serve;
+  W.SocketPath = S.SockPath;
+  W.TcpPort = -1;
+  W.PersistPath = S.PersistPath;
+  W.MaxConns = serve::ServeOptions().MaxConns;
   // The forwarding envelope escapes the payload into a JSON string,
   // which can double it; workers get headroom so forwarding never
   // shrinks the client-visible frame budget.
-  A.push_back("--max-frame-bytes");
-  A.push_back(std::to_string(2 * Opts.MaxFrameBytes + 4096));
-  std::string Spec = renderFaultSpec(Opts.Faults);
-  if (!Spec.empty()) {
-    A.push_back("--fault");
-    A.push_back(Spec);
-  }
+  W.MaxFrameBytes = 2 * Opts.Serve.MaxFrameBytes + 4096;
+  std::vector<std::string> A = serve::renderServeArgs(W);
+  A.insert(A.begin(), Opts.ServeBinary);
   return A;
 }
 
@@ -300,7 +268,8 @@ bool Front::Impl::tryAdopt(Shard &S) {
   // socket timeout) is what detects wedged workers - so clear it.
   int DataFd = Data->release();
   serve::setSocketTimeout(DataFd, SO_RCVTIMEO, 0);
-  serve::setSocketTimeout(DataFd, SO_SNDTIMEO, Opts.WriteTimeoutMillis);
+  serve::setSocketTimeout(DataFd, SO_SNDTIMEO,
+                          Opts.Serve.WriteTimeoutMillis);
 
   uint64_t Gen;
   {
@@ -419,7 +388,7 @@ int Front::Impl::submit(Shard &S, const ConnPtr &C, uint64_t Seq,
 }
 
 void Front::Impl::respReaderLoop(Shard &S, uint64_t Gen, int Fd) {
-  serve::FrameReader FR(2 * Opts.MaxFrameBytes + 4096);
+  serve::FrameReader FR(2 * Opts.Serve.MaxFrameBytes + 4096);
   char Buf[65536];
   bool Fail = false;
   bool Stale = false;
@@ -884,7 +853,7 @@ std::string Front::Impl::statzRecord(const std::string &Id) {
 }
 
 std::string Front::Impl::persistRecord(const std::string &Id) {
-  if (Opts.PersistPath.empty())
+  if (Opts.Serve.PersistPath.empty())
     return engine::makeErrorRecord(
         "irlt-front", Id, engine::errkind::Request,
         "persist: persistence is disabled (front started without --persist)");
@@ -939,15 +908,15 @@ ErrorOr<bool> Front::Impl::startImpl() {
 
   std::string Base = Opts.ShardPathBase;
   if (Base.empty())
-    Base = !Opts.SocketPath.empty()
-               ? Opts.SocketPath
+    Base = !Opts.Serve.SocketPath.empty()
+               ? Opts.Serve.SocketPath
                : "/tmp/irlt-front." + std::to_string(::getpid());
   for (unsigned I = 0; I < Opts.Shards; ++I) {
     auto S = std::make_unique<Shard>();
     S->Index = I;
     S->SockPath = Base + ".w" + std::to_string(I);
-    if (!Opts.PersistPath.empty())
-      S->PersistPath = Opts.PersistPath + ".shard" + std::to_string(I);
+    if (!Opts.Serve.PersistPath.empty())
+      S->PersistPath = Opts.Serve.PersistPath + ".shard" + std::to_string(I);
     Shards.push_back(std::move(S));
   }
 

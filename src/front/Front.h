@@ -61,10 +61,7 @@
 #ifndef IRLT_FRONT_FRONT_H
 #define IRLT_FRONT_FRONT_H
 
-#include "serve/Frame.h"
-#include "serve/Listener.h"
-#include "support/ErrorOr.h"
-#include "support/FaultInject.h"
+#include "serve/Server.h"
 
 #include <atomic>
 #include <cstdint>
@@ -78,39 +75,24 @@ namespace front {
 
 /// Front configuration.
 struct FrontOptions {
-  /// Front Unix-domain socket path; exclusive with TcpPort.
-  std::string SocketPath;
-  /// >= 0: listen on 127.0.0.1:TcpPort instead (0 = kernel-assigned).
-  int TcpPort = -1;
+  /// irlt-serve's options. The front's own listener reads SocketPath,
+  /// TcpPort, MaxConns, MaxFrameBytes, WriteTimeoutMillis and Faults
+  /// (it honors ShortRead on its socket reads); every worker runs with a
+  /// copy (Front::Impl::workerArgs) that swaps in its shard socket and
+  /// journal, the default connection bound, and frame headroom for the
+  /// forwarding envelope. A worker journals to <PersistPath>.shard<i>.
+  serve::ServeOptions Serve;
   /// Worker processes to shard across (>= 1).
   unsigned Shards = 2;
   /// Path to the irlt-serve binary to spawn.
   std::string ServeBinary;
   /// Base for per-shard worker socket (and default journal) paths;
-  /// shard i listens on <base>.w<i>. Defaults to SocketPath, or a
+  /// shard i listens on <base>.w<i>. Defaults to Serve.SocketPath, or a
   /// /tmp/irlt-front.<pid> base in TCP mode.
   std::string ShardPathBase;
-
-  /// Per-worker knobs, passed through on the worker command line.
-  unsigned WorkerJobs = 1;
-  bool EnableCache = true;
-  size_t CacheCapacity = 0;
-  size_t QueueCapacity = 64;
-  uint64_t DefaultDeadlineMillis = 0;
-  /// Cache-journal base path; empty disables persistence. Shard i
-  /// journals to <PersistPath>.shard<i>.
-  std::string PersistPath;
-  size_t JournalCapacity = 0;
-
-  /// Front-side bounds (same meaning as ServeOptions).
-  unsigned MaxConns = 64;
-  size_t MaxFrameBytes = serve::DefaultMaxPayloadBytes;
-  uint64_t WriteTimeoutMillis = 5000;
   /// Per-shard outstanding-request window; past it the front sheds with
   /// a structured "overloaded" record.
   size_t WindowCapacity = 128;
-  /// Bounded route cache (nest source -> shard index); 0 = unbounded.
-  size_t RouteCacheCapacity = 4096;
 
   /// Supervision cadence.
   uint64_t ProbeIntervalMillis = 500;
@@ -122,11 +104,6 @@ struct FrontOptions {
   uint64_t RestartBackoffMaxMillis = 5000;
   /// Bound on one worker start (spawn to healthy probe).
   uint64_t StartupTimeoutMillis = 15000;
-
-  /// Deterministic fault injection. Forwarded verbatim to every worker
-  /// command line (renderFaultSpec); the front itself honors ShortRead
-  /// on its own socket reads.
-  FaultConfig Faults;
 };
 
 /// Monotonic counters (statz / the tool's exit record); the connection

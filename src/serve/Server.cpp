@@ -40,6 +40,16 @@ struct Job {
 
 } // namespace
 
+ListenerOptions ServeOptions::listener(std::string Name) const {
+  return {.Name = std::move(Name),
+          .SocketPath = SocketPath,
+          .TcpPort = TcpPort,
+          .MaxConns = MaxConns,
+          .MaxFrameBytes = MaxFrameBytes,
+          .WriteTimeoutMillis = WriteTimeoutMillis,
+          .ShortRead = Faults.ShortRead};
+}
+
 struct Server::Impl {
   ServeOptions Opts;
   engine::EngineOptions EO;
@@ -64,19 +74,15 @@ struct Server::Impl {
       : Opts(std::move(O)),
         P(api::PipelineOptions{Opts.EnableCache, {}, Opts.CacheCapacity}),
         Journal(Opts.JournalCapacity),
-        L({.Name = "serve",
-           .SocketPath = Opts.SocketPath,
-           .TcpPort = Opts.TcpPort,
-           .MaxConns = Opts.MaxConns,
-           .MaxFrameBytes = Opts.MaxFrameBytes,
-           .WriteTimeoutMillis = Opts.WriteTimeoutMillis,
-           .ShortRead = Opts.Faults.ShortRead},
-          Stats, [this](const ConnPtr &C, uint64_t Seq, std::string Payload) {
+        L(Opts.listener("serve"), Stats,
+          [this](const ConnPtr &C, uint64_t Seq, std::string Payload) {
             dispatch(C, Seq, std::move(Payload));
           }) {
+    // EO.MaxLineBytes keeps the engine's 1 MiB line bound: under the
+    // default frame bound, so both the oversized_line record and the
+    // frame reject stay reachable.
     EO.EnableCache = Opts.EnableCache;
     EO.CacheCapacity = Opts.CacheCapacity;
-    EO.MaxLineBytes = Opts.MaxLineBytes;
     EO.Faults = Opts.Faults;
     EO.ToolName = "irlt-serve";
     EO.CollectNestKeys = !Opts.PersistPath.empty();

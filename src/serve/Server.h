@@ -53,10 +53,14 @@
 #include "serve/Journal.h"
 #include "serve/Listener.h"
 #include "support/FaultInject.h"
+#include "support/Printing.h"
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace irlt {
 namespace serve {
@@ -82,9 +86,6 @@ struct ServeOptions {
   uint64_t DefaultDeadlineMillis = 0;
   /// Per-frame payload bound (serve/Frame.h).
   size_t MaxFrameBytes = DefaultMaxPayloadBytes;
-  /// Engine per-line bound (oversized_line taxonomy, under the frame
-  /// bound so both layers are reachable).
-  size_t MaxLineBytes = 1u << 20;
   /// SO_SNDTIMEO for response writes (0 = no timeout).
   uint64_t WriteTimeoutMillis = 5000;
   /// Cache-journal file; empty disables persistence.
@@ -98,7 +99,31 @@ struct ServeOptions {
   /// delivering a response whose id contains "kill") and WorkerHang
   /// (worker thread sleeps before processing an id containing "hang").
   FaultConfig Faults;
+
+  bool operator==(const ServeOptions &) const = default;
+  /// The connection-layer subset, for the daemon named \p Name.
+  ListenerOptions listener(std::string Name) const;
 };
+
+/// A tool's own flag hook for parseServeArgs: it sees each argument that
+/// is not an irlt-serve flag, and returns nothing to decline it, else
+/// whether its value was accepted (a rejection has printed its error
+/// line).
+using ExtraFlags = std::function<std::optional<bool>(ArgCursor &)>;
+
+/// irlt-serve's command line: reads IRLT_FAULT, then every irlt-serve
+/// flag into \p O, offering any other argument to \p Extra. A missing or
+/// rejected value prints one "error:" line; --journal-cap defaults to
+/// --cache-cap. \returns the exit status when the tool should stop
+/// (0 after --help, which prints \p Usage, or a fault listing; 1 after an
+/// error), nothing when it should run.
+std::optional<int> parseServeArgs(int Argc, char **Argv, ServeOptions &O,
+                                  void (*Usage)(const char *Argv0),
+                                  const ExtraFlags &Extra = nullptr);
+
+/// The flags that parseServeArgs() reads back into \p O, field for field
+/// (IRLT_FAULT unset).
+std::vector<std::string> renderServeArgs(const ServeOptions &O);
 
 /// Monotonic counters, readable while the server runs (statz) and after
 /// run() returns (the tool's exit record); the connection counters come

@@ -76,6 +76,7 @@ struct FaultConfig {
            GarbageFrame || SlowClient || CacheCorrupt || DumpPartial ||
            WorkerThrow || WorkerKill || WorkerHang || WorkerSlowStart;
   }
+  bool operator==(const FaultConfig &) const = default;
 };
 
 /// Parses a comma-separated fault spec ("worker-throw,dump-partial").

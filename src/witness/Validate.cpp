@@ -33,6 +33,13 @@ ValidateOptions ValidateOptions::nativeDefaults() {
   return O;
 }
 
+ValidateOptions ValidateOptions::forRequest(bool Native, uint64_t Budget) {
+  ValidateOptions O = Native ? nativeDefaults() : defaults();
+  if (Budget)
+    O.MaxInstances = Budget;
+  return O;
+}
+
 const char *irlt::witness::validateStatusName(ValidateStatus S) {
   switch (S) {
   case ValidateStatus::Confirmed:
@@ -230,4 +237,21 @@ LadderResult irlt::witness::validateLadder(
   // could not be disproved, else to the identity sequence.
   R.Chosen = FirstInconclusive;
   return R;
+}
+
+void irlt::witness::writeLadder(json::JsonWriter &W, const LadderResult &LR) {
+  W.key("validate").beginObject();
+  W.field("chosen", static_cast<int64_t>(LR.Chosen));
+  W.field("fell_back_to_identity", LR.fellBackToIdentity());
+  W.key("outcomes").beginArray();
+  for (const CandidateOutcome &O : LR.Outcomes) {
+    W.beginObject();
+    W.field("status", validateStatusName(O.Status));
+    W.field("detail", O.Detail);
+    if (!O.ReproPath.empty())
+      W.field("reproducer", O.ReproPath);
+    W.endObject();
+  }
+  W.endArray();
+  W.endObject();
 }

@@ -33,6 +33,7 @@
 #ifndef IRLT_WITNESS_VALIDATE_H
 #define IRLT_WITNESS_VALIDATE_H
 
+#include "support/Json.h"
 #include "witness/Witness.h"
 
 #include <map>
@@ -72,6 +73,11 @@ struct ValidateOptions {
   /// table in docs/LEGALITY.md), and the native bindings are sized so
   /// the larger one exceeds the interpreted budget.
   static ValidateOptions nativeDefaults();
+
+  /// The preset a request or a --validate flag names: nativeDefaults()
+  /// when \p Native, else defaults(), with a nonzero \p Budget as the
+  /// interpreted instance budget.
+  static ValidateOptions forRequest(bool Native, uint64_t Budget);
 };
 
 enum class ValidateStatus { Confirmed, Disproved, Inconclusive };
@@ -118,6 +124,11 @@ LadderResult validateLadder(const LoopNest &Nest,
                             const std::vector<TransformSequence> &Candidates,
                             const ValidateOptions &Opts =
                                 ValidateOptions::defaults());
+
+/// Writes the ladder as the "validate" member of the open JSON object in
+/// \p W: the chosen index, the identity fallback, and one outcome per
+/// examined candidate (its "reproducer" only when one was dumped).
+void writeLadder(json::JsonWriter &W, const LadderResult &LR);
 
 } // namespace witness
 } // namespace irlt

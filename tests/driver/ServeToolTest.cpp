@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -40,9 +41,10 @@ struct RunResult {
   std::string Output;
 };
 
-/// Runs a foreground command (servectl invocations) capturing stdout.
-RunResult run(const std::string &Cmd) {
-  FILE *Pipe = popen((Cmd + " 2>/dev/null").c_str(), "r");
+/// Runs a foreground command (servectl invocations) capturing stdout, or
+/// whatever \p Redirect sends into the pipe.
+RunResult run(const std::string &Cmd, const char *Redirect = " 2>/dev/null") {
+  FILE *Pipe = popen((Cmd + Redirect).c_str(), "r");
   EXPECT_NE(Pipe, nullptr);
   std::string Out;
   std::array<char, 4096> Buf;
@@ -323,4 +325,16 @@ TEST(ServeTool, UsageErrorsExitOne) {
   EXPECT_EQ(run(std::string(IRLT_SERVE_PATH) + " --jobs 0").ExitCode, 1);
   EXPECT_EQ(run(std::string(IRLT_SERVECTL_PATH) + " ping").ExitCode, 1)
       << "a target (--socket/--port) is required";
+  // A rejected value prints exactly one error line naming its flag.
+  for (std::string Flag : {"--queue-cap 0", "--max-conns 0",
+                           "--max-frame-bytes 0", "--port x"}) {
+    RunResult R =
+        run(std::string(IRLT_SERVE_PATH) + " " + Flag, " 2>&1 >/dev/null");
+    EXPECT_EQ(R.ExitCode, 1) << Flag;
+    std::string Name = Flag.substr(0, Flag.find(' '));
+    EXPECT_TRUE(R.Output.starts_with("error: " + Name + " expects "))
+        << Flag << ": " << R.Output;
+    EXPECT_EQ(std::count(R.Output.begin(), R.Output.end(), '\n'), 1)
+        << Flag << ": " << R.Output;
+  }
 }

@@ -58,7 +58,7 @@ std::string sockPath(const std::string &Name) {
 
 FrontOptions frontOpts(const std::string &Tag, unsigned Shards) {
   FrontOptions O;
-  O.SocketPath = sockPath(Tag);
+  O.Serve.SocketPath = sockPath(Tag);
   O.Shards = Shards;
   O.ServeBinary = IRLT_SERVE_PATH;
   return O;
@@ -168,7 +168,7 @@ TEST(Front, ResponsesByteIdenticalToDirectServe) {
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     std::vector<std::string> Got = roundTrip(*C, Reqs);
     // A second pass hits the workers' warm caches: still identical.
@@ -197,7 +197,7 @@ TEST(Front, InlineOpsAggregateAcrossShards) {
   for (pid_t P : F.shardPids())
     EXPECT_GT(P, 0);
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
 
     ASSERT_TRUE(C->sendFrame(R"({"op":"healthz","id":"h1"})"));
@@ -231,13 +231,13 @@ TEST(Front, InlineOpsAggregateAcrossShards) {
 TEST(Front, WindowBoundShedsWithStructuredOverloaded) {
   FrontOptions O = frontOpts("shed", 1);
   O.WindowCapacity = 1;
-  O.WorkerJobs = 1;
+  O.Serve.Jobs = 1;
   Front F(O);
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   size_t Sent = 24;
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     std::string Req = std::string(R"({"id":"burst","nest":")") +
                       MatmulEscaped + R"(","auto":"locality","beam":2})";
@@ -265,15 +265,15 @@ TEST(Front, WindowBoundShedsWithStructuredOverloaded) {
 
 TEST(Front, WorkerCrashAnswersInFlightStructuredAndRestarts) {
   FrontOptions O = frontOpts("crash", 1);
-  O.WorkerJobs = 1;
-  O.Faults.WorkerKill = true;
+  O.Serve.Jobs = 1;
+  O.Serve.Faults.WorkerKill = true;
   O.RestartBackoffMillis = 50;
   O.ProbeIntervalMillis = 100;
   Front F(O);
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     // The marker request crashes the worker right after its response is
     // delivered; the stranded pipelined requests behind it must each get
@@ -300,9 +300,10 @@ TEST(Front, WorkerCrashAnswersInFlightStructuredAndRestarts) {
     EXPECT_GT(ShardDown, 0u) << "a crash mid-pipeline must strand requests";
   }
   // The supervisor restarts the worker; the front then serves again.
-  ASSERT_TRUE(waitHealthy(O.SocketPath, 15000)) << "worker never restarted";
+  ASSERT_TRUE(waitHealthy(O.Serve.SocketPath, 15000))
+      << "worker never restarted";
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     std::string Req = std::string(R"({"id":"after","nest":")") +
                       MatmulEscaped + R"(","script":"block 1 3 8 8 8"})";
@@ -319,8 +320,8 @@ TEST(Front, WorkerCrashAnswersInFlightStructuredAndRestarts) {
 
 TEST(Front, WedgedWorkerIsKilledByPendingAgeWatchdog) {
   FrontOptions O = frontOpts("hang", 1);
-  O.WorkerJobs = 1;
-  O.Faults.WorkerHang = true;
+  O.Serve.Jobs = 1;
+  O.Serve.Faults.WorkerHang = true;
   O.PendingTimeoutMillis = 400; // the hang is 1h; only the watchdog saves us
   O.ProbeIntervalMillis = 100;
   O.RestartBackoffMillis = 50;
@@ -328,7 +329,7 @@ TEST(Front, WedgedWorkerIsKilledByPendingAgeWatchdog) {
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     // The wedged worker still answers healthz probes (its reader thread
     // is fine), so liveness probing alone would never catch this.
@@ -343,9 +344,10 @@ TEST(Front, WedgedWorkerIsKilledByPendingAgeWatchdog) {
     for (const std::string &G : Got)
       EXPECT_NE(G.find("\"kind\":\"shard_down\""), std::string::npos) << G;
   }
-  ASSERT_TRUE(waitHealthy(O.SocketPath, 15000)) << "worker never restarted";
+  ASSERT_TRUE(waitHealthy(O.Serve.SocketPath, 15000))
+      << "worker never restarted";
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     std::string Req = std::string(R"({"id":"after","nest":")") +
                       MatmulEscaped + R"(","script":"block 1 3 8 8 8"})";
@@ -366,7 +368,7 @@ TEST(Front, GarbageBytesGetBadFrameRecordThenClose) {
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     ASSERT_TRUE(C->sendRaw("GET / HTTP/1.1\r\n\r\n"));
     auto P = C->recvFrame(RecvMs);
@@ -387,7 +389,7 @@ TEST(Front, TruncatedFrameAtEofGetsBadFrameRecord) {
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     // A valid header declaring 64 bytes, 5 bytes of payload, then EOF.
     std::string Raw(FrameMagic, 4);
@@ -412,12 +414,12 @@ TEST(Front, ShortReadFaultStillServesCorrectly) {
   std::vector<std::string> Reqs = corpus();
   std::vector<std::string> Baseline = directServe("shortread_direct", Reqs);
   FrontOptions O = frontOpts("shortread", 2);
-  O.Faults.ShortRead = true;
+  O.Serve.Faults.ShortRead = true;
   Front F(O);
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     EXPECT_EQ(roundTrip(*C, Reqs), Baseline);
   }
@@ -427,20 +429,20 @@ TEST(Front, ShortReadFaultStillServesCorrectly) {
 
 TEST(Front, ConnectionLimitRejectsWithOneOverloadedRecordThenEof) {
   FrontOptions O = frontOpts("maxconns", 1);
-  O.MaxConns = 1;
+  O.Serve.MaxConns = 1;
   Front F(O);
   auto St = F.start();
   ASSERT_TRUE(static_cast<bool>(St)) << St.message();
   {
     // A round trip on the held connection proves it was accepted before
     // the second one arrives.
-    auto Held = connectUnix(O.SocketPath);
+    auto Held = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(Held)) << Held.message();
     ASSERT_TRUE(Held->sendFrame(R"({"op":"healthz","id":"h"})"));
     auto H = Held->recvFrame(RecvMs);
     ASSERT_TRUE(static_cast<bool>(H)) << H.message();
 
-    auto Extra = connectUnix(O.SocketPath);
+    auto Extra = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(Extra)) << Extra.message();
     auto P = Extra->recvFrame(RecvMs);
     ASSERT_TRUE(static_cast<bool>(P)) << P.message();
@@ -482,7 +484,7 @@ TEST(Front, EverySocketAndPipeIsCloseOnExec) {
   {
     auto ToServer = connectUnix(SO.SocketPath);
     ASSERT_TRUE(static_cast<bool>(ToServer)) << ToServer.message();
-    auto ToFront = connectUnix(O.SocketPath);
+    auto ToFront = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(ToFront)) << ToFront.message();
     std::vector<std::string> Reqs = corpus();
     Reqs.push_back(R"({"op":"statz","id":"s"})"); // the ops fan-out
@@ -521,7 +523,7 @@ TEST(Front, DrainAggregatesWorkerRecords) {
   // this test pins down exactly.
   Reqs.pop_back();
   {
-    auto C = connectUnix(O.SocketPath);
+    auto C = connectUnix(O.Serve.SocketPath);
     ASSERT_TRUE(static_cast<bool>(C)) << C.message();
     ASSERT_EQ(roundTrip(*C, Reqs).size(), Reqs.size());
   }
@@ -542,13 +544,13 @@ TEST(Front, DrainAggregatesWorkerRecords) {
   EXPECT_EQ(D.WorkerWriteFailures, 0u);
 
   // The socket is gone: a post-drain connect must fail, not hang.
-  auto C2 = connectUnix(O.SocketPath);
+  auto C2 = connectUnix(O.Serve.SocketPath);
   EXPECT_FALSE(static_cast<bool>(C2));
 }
 
 TEST(Front, TcpLoopbackModeWorks) {
   FrontOptions O;
-  O.TcpPort = 0; // kernel-assigned
+  O.Serve.TcpPort = 0; // kernel-assigned
   O.Shards = 2;
   O.ServeBinary = IRLT_SERVE_PATH;
   Front F(O);

@@ -4,8 +4,9 @@
 // subprocesses: the serve/drain lifecycle with journal warm restart, the
 // kill-a-worker-under-load acceptance scenario (structured rejects only,
 // zero hangs, clean drain, and --retry-overloaded convergence to the
-// byte-exact uncontended stream), the --fault list mode, and usage
-// errors. Binary paths come from the build system.
+// byte-exact uncontended stream), the --fault list mode, usage errors,
+// and irlt-serve flags reaching the workers. Binary paths come from the
+// build system.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -44,9 +46,10 @@ struct RunResult {
   std::string Output;
 };
 
-/// Runs a foreground command (servectl invocations) capturing stdout.
-RunResult run(const std::string &Cmd) {
-  FILE *Pipe = popen((Cmd + " 2>/dev/null").c_str(), "r");
+/// Runs a foreground command (servectl invocations) capturing stdout, or
+/// whatever \p Redirect sends into the pipe.
+RunResult run(const std::string &Cmd, const char *Redirect = " 2>/dev/null") {
+  FILE *Pipe = popen((Cmd + Redirect).c_str(), "r");
   EXPECT_NE(Pipe, nullptr);
   std::string Out;
   std::array<char, 4096> Buf;
@@ -280,4 +283,49 @@ TEST(FrontTool, UsageErrorsExitOne) {
             1);
   EXPECT_EQ(run(std::string(IRLT_FRONT_PATH) + " --fault no-such").ExitCode,
             1);
+  // A rejected value prints exactly one error line naming its flag.
+  for (std::string Flag :
+       {"--queue-cap 0", "--max-conns 0", "--max-frame-bytes 0",
+        "--window-cap 0", "--backoff-ms 0", "--backoff-max-ms 0",
+        "--startup-timeout-ms 0", "--port x"}) {
+    RunResult R =
+        run(std::string(IRLT_FRONT_PATH) + " " + Flag, " 2>&1 >/dev/null");
+    EXPECT_EQ(R.ExitCode, 1) << Flag;
+    std::string Name = Flag.substr(0, Flag.find(' '));
+    EXPECT_TRUE(R.Output.starts_with("error: " + Name + " expects "))
+        << Flag << ": " << R.Output;
+    EXPECT_EQ(std::count(R.Output.begin(), R.Output.end(), '\n'), 1)
+        << Flag << ": " << R.Output;
+  }
+}
+
+TEST(FrontTool, JournalCapZeroReachesTheWorkers) {
+  // Six distinct nests through one shard whose caches hold two entries:
+  // --journal-cap 0 (unbounded) must reach the worker, whose journal then
+  // keeps all six, as a direct irlt-serve's does.
+  std::string Corpus = tmpFile("jcap.ndjson");
+  {
+    std::ofstream Out(Corpus);
+    for (int K = 1; K <= 6; ++K)
+      Out << R"({"id": "j)" << K
+          << R"(", "nest": "do i = 1, n\n  a(i) = a(i - )" << K
+          << R"()\nenddo\n", "script": ""})" << "\n";
+  }
+  std::string Journal = tmpFile("jcap.journal");
+  std::remove((Journal + ".shard0").c_str());
+  Daemon D = startFront("jcap", "--shards 1 --cache-cap 2 --journal-cap 0 "
+                                "--persist " + Journal);
+  RunResult Send = run(ctl(D, "send " + Corpus));
+  EXPECT_EQ(Send.ExitCode, 0) << Send.Output;
+  RunResult Stats = run(ctl(D, "stats"));
+  stopFront(D);
+  ErrorOr<json::JsonValue> V = json::JsonValue::parse(
+      Stats.Output.substr(0, Stats.Output.find('\n')));
+  ASSERT_TRUE(static_cast<bool>(V)) << Stats.Output;
+  const json::JsonValue *Status = V->find("shard_status");
+  ASSERT_TRUE(Status && Status->isArray() && Status->elements().size() == 1)
+      << Stats.Output;
+  const json::JsonValue *Worker = Status->elements()[0].find("worker");
+  ASSERT_NE(Worker, nullptr) << Stats.Output;
+  EXPECT_EQ(Worker->intOr("journal_entries", -1), 6) << Stats.Output;
 }

@@ -31,6 +31,42 @@ TEST(Printing, ParseU64) {
   EXPECT_EQ(V, UINT64_MAX);
 }
 
+TEST(Printing, ParseBindings) {
+  // One grammar for --verify, --params and --bind: a name, '=', an
+  // optional '-' and decimal digits in the int64 range.
+  std::map<std::string, int64_t> B;
+  EXPECT_TRUE(parseBindings("n=-8", B));
+  EXPECT_EQ(B["n"], -8);
+  EXPECT_TRUE(parseBindings("n=9223372036854775807", B));
+  EXPECT_EQ(B["n"], INT64_MAX);
+  EXPECT_TRUE(parseBindings("n=-9223372036854775808", B));
+  EXPECT_EQ(B["n"], INT64_MIN);
+  EXPECT_TRUE(parseBindings("n=32,b=4", B));
+  EXPECT_EQ(B["n"], 32);
+  EXPECT_EQ(B["b"], 4);
+  for (const char *Bad : {"n=+8", "n= 8", "n=", "=8", "n=9223372036854775808",
+                          "n=-9223372036854775809", "n=8,,b=4", "n=-"})
+    EXPECT_FALSE(parseBindings(Bad, B)) << Bad;
+}
+
+TEST(Printing, ParseValidateSpec) {
+  ValidateSpec V;
+  EXPECT_TRUE(parseValidateSpec("", V));
+  EXPECT_FALSE(V.Native);
+  EXPECT_EQ(V.Budget, 0u);
+  EXPECT_TRUE(parseValidateSpec("native", V));
+  EXPECT_TRUE(V.Native);
+  EXPECT_EQ(V.Budget, 0u);
+  EXPECT_TRUE(parseValidateSpec("native:2000000", V));
+  EXPECT_TRUE(V.Native);
+  EXPECT_EQ(V.Budget, 2000000u);
+  EXPECT_TRUE(parseValidateSpec("2000000", V));
+  EXPECT_FALSE(V.Native);
+  EXPECT_EQ(V.Budget, 2000000u);
+  for (const char *Bad : {"0", "abc", "native:", "native:0", "natives"})
+    EXPECT_FALSE(parseValidateSpec(Bad, V)) << Bad;
+}
+
 TEST(Printing, IndentedWriter) {
   IndentedWriter W;
   W.line("do i = 1, n");

@@ -53,7 +53,6 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -93,52 +92,22 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
+  for (ArgCursor C(argc, argv); C.next();) {
+    const std::string &A = C.arg();
+    bool Ok = true;
     if (A == "--jobs") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --jobs needs an argument\n");
-        return 1;
-      }
-      uint64_t J = 0;
-      if (!parseU64(argv[++I], J) || !J || J > 1024) {
-        std::fprintf(stderr, "error: --jobs expects 1..1024\n");
-        return 1;
-      }
-      Opts.Jobs = static_cast<unsigned>(J);
+      Ok = C.number(Opts.Jobs, 1, 1024);
     } else if (A == "--no-cache") {
       Opts.EnableCache = false;
     } else if (A == "--cache-cap") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --cache-cap needs an argument\n");
-        return 1;
-      }
-      uint64_t N = 0;
-      if (!parseU64(argv[++I], N) || !N) {
-        std::fprintf(stderr, "error: --cache-cap expects a positive entry "
-                             "count\n");
-        return 1;
-      }
-      Opts.CacheCapacity = static_cast<size_t>(N);
+      Ok = C.number(Opts.CacheCapacity, 1);
     } else if (A == "--max-line-bytes") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --max-line-bytes needs an argument\n");
-        return 1;
-      }
-      uint64_t N = 0;
-      if (!parseU64(argv[++I], N) || !N) {
-        std::fprintf(stderr,
-                     "error: --max-line-bytes expects a positive byte "
-                     "count\n");
-        return 1;
-      }
-      Opts.MaxLineBytes = static_cast<size_t>(N);
+      Ok = C.number(Opts.MaxLineBytes, 1);
     } else if (A == "--fault") {
-      if (I + 1 >= argc) {
-        std::fprintf(stderr, "error: --fault needs an argument\n");
+      std::string Spec;
+      if (!C.value(Spec))
         return 1;
-      }
-      ErrorOr<FaultConfig> FC = parseFaultSpec(argv[++I]);
+      ErrorOr<FaultConfig> FC = parseFaultSpec(Spec);
       if (!FC) {
         std::fprintf(stderr, "error: --fault: %s\n", FC.message().c_str());
         return 1;
@@ -176,6 +145,8 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: more than one input file\n");
       return 1;
     }
+    if (!Ok)
+      return 1;
   }
 
   std::string Input;
@@ -183,15 +154,9 @@ int main(int argc, char **argv) {
     std::ostringstream SS;
     SS << std::cin.rdbuf();
     Input = SS.str();
-  } else {
-    std::ifstream In(InputPath, std::ios::binary);
-    if (!In) {
-      std::fprintf(stderr, "error: cannot read '%s'\n", InputPath.c_str());
-      return 1;
-    }
-    std::ostringstream SS;
-    SS << In.rdbuf();
-    Input = SS.str();
+  } else if (!readFile(InputPath, Input)) {
+    std::fprintf(stderr, "error: cannot read '%s'\n", InputPath.c_str());
+    return 1;
   }
 
   Opts.StopFlag = &GStop;

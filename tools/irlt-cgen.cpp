@@ -14,8 +14,10 @@
 ///   irlt-cgen FILE [options]
 ///     -s, --script TEXT    transformation script (see driver/Script.h)
 ///     -f, --script-file F  read the script from a file
-///     --bind k=v,...       scalar parameter bindings
-///                          (default n=16,m=12,b=4, overridable per key)
+///     --bind k=v,...       scalar parameter bindings, each value an
+///                          optional '-' and decimal digits in the int64
+///                          range (default n=16,m=12,b=4, overridable
+///                          per key)
 ///     --seed N             array-image seed (default 42)
 ///     --reps N             timing repetitions in the harness (default 0)
 ///     -o FILE              write the program to FILE instead of stdout
@@ -41,7 +43,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 using namespace irlt;
 
@@ -55,38 +56,6 @@ void usage(const char *Argv0) {
                "exit status: 0 emitted/matched, 1 error, 2 mismatch,\n"
                "             3 compile/run failure, 4 no compiler\n",
                Argv0);
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-bool parseBindings(const std::string &Spec,
-                   std::map<std::string, int64_t> &Out) {
-  std::istringstream SS(Spec);
-  std::string Item;
-  while (std::getline(SS, Item, ',')) {
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
-      return false;
-    try {
-      size_t Used = 0;
-      std::string Val = Item.substr(Eq + 1);
-      int64_t V = std::stoll(Val, &Used);
-      if (Used != Val.size())
-        return false;
-      Out[Item.substr(0, Eq)] = V;
-    } catch (...) {
-      return false;
-    }
-  }
-  return true;
 }
 
 int fail(bool JsonMode, const std::string &Message) {

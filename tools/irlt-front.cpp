@@ -16,21 +16,17 @@
 /// as-is, byte-identical to a direct single-process run.
 ///
 ///   irlt-front (--socket PATH | --port N) --shards N [options]
+///     every irlt-serve flag, read by irlt-serve's own parser
+///     (serve::parseServeArgs). The front listens with --socket/--port,
+///     --max-conns, --max-frame-bytes, --write-timeout-ms and --fault;
+///     every worker runs with the engine flags, the write timeout and
+///     the faults, with irlt-serve semantics (--jobs is per worker
+///     process; --persist PATH journals shard i to PATH.shard<i>, which
+///     a respawned worker replays to come back warm)
 ///     --shards N           worker processes (default 2)
 ///     --serve-bin PATH     irlt-serve binary (default: next to argv[0])
 ///     --shard-base PATH    worker socket base; shard i gets <base>.w<i>
 ///                          (default: the front socket path)
-///     --jobs N             worker threads *per worker process*
-///     --no-cache / --cache-cap N / --queue-cap N / --deadline-ms N
-///                          per-worker engine knobs (as irlt-serve)
-///     --persist PATH       shard i journals to PATH.shard<i>; restarts
-///                          replay it, so a respawned worker comes back
-///                          warm
-///     --journal-cap N      per-shard journal entry bound
-///     --max-conns N        front connection bound
-///     --max-frame-bytes N  client-visible frame bound (workers get
-///                          headroom for the forwarding envelope)
-///     --write-timeout-ms N response/forward write timeout
 ///     --window-cap N       per-shard outstanding-request window;
 ///                          past it the front sheds "overloaded"
 ///     --probe-interval-ms N / --probe-timeout-ms N
@@ -40,8 +36,6 @@
 ///     --backoff-ms N / --backoff-max-ms N
 ///                          restart backoff (doubling, capped)
 ///     --startup-timeout-ms N  bound on one worker start
-///     --fault SPEC         deterministic fault injection, forwarded to
-///                          every worker ("list" prints kinds, exits 0)
 ///
 /// SIGTERM/SIGINT drain: stop accepting, resolve every in-flight
 /// request (completed or structured "shard_down"), SIGTERM every worker
@@ -55,12 +49,9 @@
 
 #include "front/Front.h"
 #include "support/Json.h"
-#include "support/Printing.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace irlt;
@@ -93,12 +84,6 @@ void usage(const char *Argv0) {
       Argv0);
 }
 
-int printFaultKinds() {
-  for (const std::string &N : faultKindNames())
-    std::fprintf(stdout, "%s\n", N.c_str());
-  return 0;
-}
-
 /// The worker binary ships next to this one; derive the default from
 /// argv[0] so test trees and install trees both work unconfigured.
 std::string defaultServeBinary(const char *Argv0) {
@@ -109,160 +94,40 @@ std::string defaultServeBinary(const char *Argv0) {
   return Self.substr(0, Slash + 1) + "irlt-serve";
 }
 
+/// The front-only flags; irlt-serve's own flags fill Opts.Serve.
+std::optional<bool> frontFlag(ArgCursor &C, FrontOptions &Opts) {
+  const std::string &A = C.arg();
+  if (A == "--shards")
+    return C.number(Opts.Shards, 1, 64);
+  if (A == "--serve-bin")
+    return C.value(Opts.ServeBinary);
+  if (A == "--shard-base")
+    return C.value(Opts.ShardPathBase);
+  if (A == "--window-cap")
+    return C.number(Opts.WindowCapacity, 1);
+  if (A == "--probe-interval-ms")
+    return C.number(Opts.ProbeIntervalMillis);
+  if (A == "--probe-timeout-ms")
+    return C.number(Opts.ProbeTimeoutMillis);
+  if (A == "--pending-timeout-ms")
+    return C.number(Opts.PendingTimeoutMillis);
+  if (A == "--backoff-ms")
+    return C.number(Opts.RestartBackoffMillis, 1);
+  if (A == "--backoff-max-ms")
+    return C.number(Opts.RestartBackoffMaxMillis, 1);
+  if (A == "--startup-timeout-ms")
+    return C.number(Opts.StartupTimeoutMillis, 1);
+  return std::nullopt;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
   FrontOptions Opts;
-
-  const char *FaultEnv = std::getenv("IRLT_FAULT");
-  if (FaultEnv && std::strcmp(FaultEnv, "list") == 0)
-    return printFaultKinds();
-  std::string FaultErr;
-  Opts.Faults = faultsFromEnv(&FaultErr);
-  if (!FaultErr.empty()) {
-    std::fprintf(stderr, "error: IRLT_FAULT: %s\n", FaultErr.c_str());
-    return 1;
-  }
-
-  auto needArg = [&](int &I, const std::string &A) -> const char * {
-    if (I + 1 >= argc) {
-      std::fprintf(stderr, "error: %s needs an argument\n", A.c_str());
-      return nullptr;
-    }
-    return argv[++I];
-  };
-  auto needU64 = [&](int &I, const std::string &A, uint64_t &Out) {
-    const char *V = needArg(I, A);
-    if (!V)
-      return false;
-    if (!parseU64(V, Out)) {
-      std::fprintf(stderr, "error: %s expects a non-negative integer\n",
-                   A.c_str());
-      return false;
-    }
-    return true;
-  };
-
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    uint64_t N = 0;
-    if (A == "--socket") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      Opts.SocketPath = V;
-    } else if (A == "--port") {
-      if (!needU64(I, A, N) || N > 65535) {
-        std::fprintf(stderr, "error: --port expects 0..65535\n");
-        return 1;
-      }
-      Opts.TcpPort = static_cast<int>(N);
-    } else if (A == "--shards") {
-      if (!needU64(I, A, N) || !N || N > 64) {
-        std::fprintf(stderr, "error: --shards expects 1..64\n");
-        return 1;
-      }
-      Opts.Shards = static_cast<unsigned>(N);
-    } else if (A == "--serve-bin") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      Opts.ServeBinary = V;
-    } else if (A == "--shard-base") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      Opts.ShardPathBase = V;
-    } else if (A == "--jobs") {
-      if (!needU64(I, A, N) || !N || N > 1024) {
-        std::fprintf(stderr, "error: --jobs expects 1..1024\n");
-        return 1;
-      }
-      Opts.WorkerJobs = static_cast<unsigned>(N);
-    } else if (A == "--no-cache") {
-      Opts.EnableCache = false;
-    } else if (A == "--cache-cap") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.CacheCapacity = static_cast<size_t>(N);
-    } else if (A == "--queue-cap") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.QueueCapacity = static_cast<size_t>(N);
-    } else if (A == "--deadline-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.DefaultDeadlineMillis = N;
-    } else if (A == "--persist") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      Opts.PersistPath = V;
-    } else if (A == "--journal-cap") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.JournalCapacity = static_cast<size_t>(N);
-    } else if (A == "--max-conns") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.MaxConns = static_cast<unsigned>(N);
-    } else if (A == "--max-frame-bytes") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.MaxFrameBytes = static_cast<size_t>(N);
-    } else if (A == "--write-timeout-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.WriteTimeoutMillis = N;
-    } else if (A == "--window-cap") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.WindowCapacity = static_cast<size_t>(N);
-    } else if (A == "--probe-interval-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.ProbeIntervalMillis = N;
-    } else if (A == "--probe-timeout-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.ProbeTimeoutMillis = N;
-    } else if (A == "--pending-timeout-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.PendingTimeoutMillis = N;
-    } else if (A == "--backoff-ms") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.RestartBackoffMillis = N;
-    } else if (A == "--backoff-max-ms") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.RestartBackoffMaxMillis = N;
-    } else if (A == "--startup-timeout-ms") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.StartupTimeoutMillis = N;
-    } else if (A == "--fault") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      if (std::strcmp(V, "list") == 0)
-        return printFaultKinds();
-      ErrorOr<FaultConfig> FC = parseFaultSpec(V);
-      if (!FC) {
-        std::fprintf(stderr, "error: --fault: %s\n", FC.message().c_str());
-        return 1;
-      }
-      Opts.Faults = *FC;
-    } else if (A == "--help" || A == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
-      usage(argv[0]);
-      return 1;
-    }
-  }
+  if (std::optional<int> Exit = serve::parseServeArgs(
+          argc, argv, Opts.Serve, usage,
+          [&](ArgCursor &C) { return frontFlag(C, Opts); }))
+    return *Exit;
   if (Opts.ServeBinary.empty())
     Opts.ServeBinary = defaultServeBinary(argv[0]);
 
@@ -282,12 +147,12 @@ int main(int argc, char **argv) {
     json::JsonWriter W;
     json::beginToolRecord(W, "irlt-front");
     W.field("record", "serving");
-    if (!Opts.SocketPath.empty())
-      W.field("socket", Opts.SocketPath);
+    if (!Opts.Serve.SocketPath.empty())
+      W.field("socket", Opts.Serve.SocketPath);
     else
       W.field("port", static_cast<uint64_t>(F.boundPort()));
     W.field("shards", static_cast<uint64_t>(F.shardCount()));
-    W.field("jobs", static_cast<uint64_t>(Opts.WorkerJobs));
+    W.field("jobs", static_cast<uint64_t>(Opts.Serve.Jobs));
     W.endObject();
     std::fprintf(stdout, "%s\n", W.str().c_str());
     std::fflush(stdout);

@@ -75,10 +75,9 @@
 #include "deps/CrossCheck.h"
 #include "deps/ScopIO.h"
 #include "support/Json.h"
+#include "support/Printing.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace irlt;
 
@@ -94,52 +93,6 @@ void usage(const char *Argv0) {
       "          [--deps-diff] [--export-scop] [--import-scop] [--json]\n"
       "exit status: 0 success/legal, 2 illegal sequence, 1 error\n",
       Argv0);
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
-}
-
-/// Parses "n=32,b=4". Values are validated by hand: std::stoll would
-/// throw (and the tool would die uncaught) on `--verify n=abc` or an
-/// out-of-int64 literal.
-bool parseBindings(const std::string &Spec,
-                   std::map<std::string, int64_t> &Out) {
-  std::istringstream SS(Spec);
-  std::string Item;
-  while (std::getline(SS, Item, ',')) {
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
-      return false;
-    std::string Val = Item.substr(Eq + 1);
-    size_t P = Val[0] == '-' ? 1 : 0;
-    if (P == Val.size())
-      return false;
-    uint64_t Mag = 0;
-    const uint64_t Limit = UINT64_C(1) << 63; // |INT64_MIN|
-    for (; P < Val.size(); ++P) {
-      if (Val[P] < '0' || Val[P] > '9')
-        return false;
-      uint64_t D = static_cast<uint64_t>(Val[P] - '0');
-      if (Mag > (Limit - D) / 10)
-        return false;
-      Mag = Mag * 10 + D;
-    }
-    bool Neg = Val[0] == '-';
-    if (!Neg && Mag == Limit)
-      return false;
-    Out[Item.substr(0, Eq)] =
-        Neg ? (Mag == Limit ? INT64_MIN
-                            : -static_cast<int64_t>(Mag))
-            : static_cast<int64_t>(Mag);
-  }
-  return true;
 }
 
 /// JSON-mode failure record; text mode already wrote to stderr.
@@ -169,10 +122,10 @@ int main(int argc, char **argv) {
   bool WantDeps = false, WantMatrices = false, WantLegality = false;
   bool WantAnalyze = false;
   bool WantFastLegality = false, WantReduce = false, WantWitness = false;
-  bool Validate = false, ValidateNative = false, JsonMode = false;
+  bool Validate = false, JsonMode = false;
   bool EmitProgram = false;
   bool DepsDiff = false, ExportScop = false, ImportScop = false;
-  uint64_t ValidateBudget = 200'000;
+  ValidateSpec VSpec;
   std::string Emit;
   std::string VerifySpec;
   std::string Auto;
@@ -222,27 +175,14 @@ int main(int argc, char **argv) {
     } else if (A == "--json") {
       JsonMode = true;
     } else if (A == "--validate" || A.rfind("--validate=", 0) == 0) {
+      // --validate=native[:N]: the compile-and-run tier on top of the
+      // interpreted ladder (docs/CODEGEN.md); N overrides the tier's
+      // interpreted budget.
       Validate = true;
-      if (A.size() > 10 && A[10] == '=') {
-        std::string V = A.substr(11);
-        // --validate=native[:N]: the compile-and-run tier on top of the
-        // interpreted ladder (docs/CODEGEN.md); N overrides the raised
-        // interpreted budget of the native preset.
-        if (V == "native" || V.rfind("native:", 0) == 0) {
-          ValidateNative = true;
-          ValidateBudget = 0; // take the preset default unless N is given
-          V = V.rfind("native:", 0) == 0 ? V.substr(7) : "";
-        }
-        if (!V.empty()) {
-          std::map<std::string, int64_t> One;
-          if (!parseBindings("v=" + V, One) || One["v"] <= 0) {
-            std::fprintf(stderr,
-                         "error: --validate= expects a positive instance "
-                         "budget or 'native[:N]'\n");
-            return 1;
-          }
-          ValidateBudget = static_cast<uint64_t>(One["v"]);
-        }
+      if (!parseValidateSpec(A == "--validate" ? "" : A.substr(11), VSpec)) {
+        std::fprintf(stderr, "error: --validate= expects a positive instance "
+                             "budget or 'native[:N]'\n");
+        return 1;
       }
     } else if (A == "--emit-c") {
       EmitProgram = true;
@@ -385,10 +325,7 @@ int main(int argc, char **argv) {
     // and degrade best-first -> next-best -> identity (never an error).
     if (Validate && SR.Best) {
       witness::ValidateOptions VO =
-          ValidateNative ? witness::ValidateOptions::nativeDefaults()
-                         : witness::ValidateOptions::defaults();
-      if (ValidateBudget)
-        VO.MaxInstances = ValidateBudget;
+          witness::ValidateOptions::forRequest(VSpec.Native, VSpec.Budget);
       std::vector<TransformSequence> Cands;
       for (const search::ScoredSequence &S : SR.Top)
         Cands.push_back(S.Seq);
@@ -396,20 +333,7 @@ int main(int argc, char **argv) {
         Cands.push_back(SR.Best->Seq);
       witness::LadderResult LR = P.validate(Nest, Cands, VO);
       if (JsonMode) {
-        W.key("validate").beginObject();
-        W.field("chosen", static_cast<int64_t>(LR.Chosen));
-        W.field("fell_back_to_identity", LR.fellBackToIdentity());
-        W.key("outcomes").beginArray();
-        for (const witness::CandidateOutcome &O : LR.Outcomes) {
-          W.beginObject();
-          W.field("status", witness::validateStatusName(O.Status));
-          W.field("detail", O.Detail);
-          if (!O.ReproPath.empty())
-            W.field("reproducer", O.ReproPath);
-          W.endObject();
-        }
-        W.endArray();
-        W.endObject();
+        witness::writeLadder(W, LR);
       } else {
         for (size_t K = 0; K < LR.Outcomes.size(); ++K) {
           const witness::CandidateOutcome &O = LR.Outcomes[K];

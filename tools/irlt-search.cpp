@@ -48,10 +48,9 @@
 
 #include "api/Pipeline.h"
 #include "support/Json.h"
+#include "support/Printing.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 using namespace irlt;
@@ -66,16 +65,6 @@ void usage(const char *Argv0) {
                "[--emit]\n"
                "          [--validate[=N|native[:N]]] [--json]\n",
                Argv0);
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Out = SS.str();
-  return true;
 }
 
 bool parseUnsigned(const std::string &S, unsigned &Out) {
@@ -113,28 +102,6 @@ bool parseIntList(const std::string &S, std::vector<int64_t> &Out) {
     Out.push_back(V);
   }
   return !Out.empty();
-}
-
-bool parseBindings(const std::string &Spec,
-                   std::map<std::string, int64_t> &Out) {
-  std::istringstream SS(Spec);
-  std::string Item;
-  while (std::getline(SS, Item, ',')) {
-    size_t Eq = Item.find('=');
-    if (Eq == std::string::npos || Eq == 0 || Eq + 1 == Item.size())
-      return false;
-    std::string Val = Item.substr(Eq + 1);
-    int64_t V = 0;
-    for (char C : Val) {
-      if (C < '0' || C > '9')
-        return false;
-      if (V > (INT64_MAX - (C - '0')) / 10)
-        return false;
-      V = V * 10 + (C - '0');
-    }
-    Out[Item.substr(0, Eq)] = V;
-  }
-  return true;
 }
 
 void printCandidate(const char *Tag, const search::ScoredSequence &C) {
@@ -191,8 +158,7 @@ int main(int argc, char **argv) {
   std::string NestPath = argv[1];
   search::SearchOptions Opts;
   bool Explain = false, Emit = false, Validate = false, JsonMode = false;
-  bool ValidateNative = false;
-  uint64_t ValidateBudget = 200'000;
+  ValidateSpec VSpec;
 
   for (int I = 2; I < argc; ++I) {
     std::string A = argv[I];
@@ -264,25 +230,12 @@ int main(int argc, char **argv) {
     } else if (A == "--json") {
       JsonMode = true;
     } else if (A == "--validate" || A.rfind("--validate=", 0) == 0) {
+      // --validate=native[:N]: compile-and-run tier (docs/CODEGEN.md).
       Validate = true;
-      if (A.size() > 10 && A[10] == '=') {
-        std::string V = A.substr(11);
-        // --validate=native[:N]: compile-and-run tier (docs/CODEGEN.md).
-        if (V == "native" || V.rfind("native:", 0) == 0) {
-          ValidateNative = true;
-          ValidateBudget = 0; // preset default unless N overrides
-          V = V.rfind("native:", 0) == 0 ? V.substr(7) : "";
-        }
-        if (!V.empty()) {
-          unsigned B = 0;
-          if (!parseUnsigned(V, B) || B == 0) {
-            std::fprintf(stderr,
-                         "error: --validate= expects a positive instance "
-                         "budget or 'native[:N]'\n");
-            return 1;
-          }
-          ValidateBudget = B;
-        }
+      if (!parseValidateSpec(A == "--validate" ? "" : A.substr(11), VSpec)) {
+        std::fprintf(stderr, "error: --validate= expects a positive instance "
+                             "budget or 'native[:N]'\n");
+        return 1;
       }
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
@@ -361,10 +314,7 @@ int main(int argc, char **argv) {
   TransformSequence Final = R.Best->Seq;
   if (Validate) {
     witness::ValidateOptions VO =
-        ValidateNative ? witness::ValidateOptions::nativeDefaults()
-                       : witness::ValidateOptions::defaults();
-    if (ValidateBudget)
-      VO.MaxInstances = ValidateBudget;
+        witness::ValidateOptions::forRequest(VSpec.Native, VSpec.Budget);
     std::vector<TransformSequence> Cands;
     for (const search::ScoredSequence &S : R.Top)
       Cands.push_back(S.Seq);
@@ -372,20 +322,7 @@ int main(int argc, char **argv) {
       Cands.push_back(R.Best->Seq);
     witness::LadderResult LR = P.validate(Nest, Cands, VO);
     if (JsonMode) {
-      W.key("validate").beginObject();
-      W.field("chosen", static_cast<int64_t>(LR.Chosen));
-      W.field("fell_back_to_identity", LR.fellBackToIdentity());
-      W.key("outcomes").beginArray();
-      for (const witness::CandidateOutcome &O : LR.Outcomes) {
-        W.beginObject();
-        W.field("status", witness::validateStatusName(O.Status));
-        W.field("detail", O.Detail);
-        if (!O.ReproPath.empty())
-          W.field("reproducer", O.ReproPath);
-        W.endObject();
-      }
-      W.endArray();
-      W.endObject();
+      witness::writeLadder(W, LR);
     } else {
       for (size_t I = 0; I < LR.Outcomes.size(); ++I) {
         const witness::CandidateOutcome &O = LR.Outcomes[I];

@@ -26,7 +26,8 @@
 ///     --persist PATH     crash-safe cache journal: tolerantly replayed
 ///                        on start, atomically dumped on drain and on
 ///                        the {"op":"persist"} request
-///     --journal-cap N    journal entry bound (default: --cache-cap)
+///     --journal-cap N    journal entry bound (default: --cache-cap;
+///                        0 = unbounded)
 ///     --write-timeout-ms N  response-write timeout (default 5000); a
 ///                        stalled client loses its connection, never a
 ///                        worker
@@ -43,6 +44,9 @@
 /// The daemon prints one "serving" record to stdout when ready (TCP mode
 /// includes the bound port) and one "drained" record on exit.
 ///
+/// The flags are parsed by serve::parseServeArgs (serve/ServeArgs.cpp),
+/// which irlt-front shares.
+///
 /// Exit status: 0 clean drain, 1 startup/usage errors, 2 when any
 /// response write failed during the run.
 ///
@@ -50,13 +54,10 @@
 
 #include "serve/Server.h"
 #include "support/Json.h"
-#include "support/Printing.h"
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 using namespace irlt;
@@ -86,127 +87,12 @@ void usage(const char *Argv0) {
       Argv0);
 }
 
-/// `--fault list` / IRLT_FAULT=list: the supported kinds, one per line.
-int printFaultKinds() {
-  for (const std::string &N : faultKindNames())
-    std::fprintf(stdout, "%s\n", N.c_str());
-  return 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
   ServeOptions Opts;
-  bool JournalCapSet = false;
-
-  const char *FaultEnv = std::getenv("IRLT_FAULT");
-  if (FaultEnv && std::strcmp(FaultEnv, "list") == 0)
-    return printFaultKinds();
-  std::string FaultErr;
-  Opts.Faults = faultsFromEnv(&FaultErr);
-  if (!FaultErr.empty()) {
-    std::fprintf(stderr, "error: IRLT_FAULT: %s\n", FaultErr.c_str());
-    return 1;
-  }
-
-  auto needArg = [&](int &I, const std::string &A) -> const char * {
-    if (I + 1 >= argc) {
-      std::fprintf(stderr, "error: %s needs an argument\n", A.c_str());
-      return nullptr;
-    }
-    return argv[++I];
-  };
-  auto needU64 = [&](int &I, const std::string &A, uint64_t &Out) {
-    const char *V = needArg(I, A);
-    if (!V)
-      return false;
-    if (!parseU64(V, Out)) {
-      std::fprintf(stderr, "error: %s expects a non-negative integer\n",
-                   A.c_str());
-      return false;
-    }
-    return true;
-  };
-
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    uint64_t N = 0;
-    if (A == "--socket") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      Opts.SocketPath = V;
-    } else if (A == "--port") {
-      if (!needU64(I, A, N) || N > 65535) {
-        std::fprintf(stderr, "error: --port expects 0..65535\n");
-        return 1;
-      }
-      Opts.TcpPort = static_cast<int>(N);
-    } else if (A == "--jobs") {
-      if (!needU64(I, A, N) || !N || N > 1024) {
-        std::fprintf(stderr, "error: --jobs expects 1..1024\n");
-        return 1;
-      }
-      Opts.Jobs = static_cast<unsigned>(N);
-    } else if (A == "--no-cache") {
-      Opts.EnableCache = false;
-    } else if (A == "--cache-cap") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.CacheCapacity = static_cast<size_t>(N);
-    } else if (A == "--queue-cap") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.QueueCapacity = static_cast<size_t>(N);
-    } else if (A == "--max-conns") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.MaxConns = static_cast<unsigned>(N);
-    } else if (A == "--deadline-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.DefaultDeadlineMillis = N;
-    } else if (A == "--persist") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      Opts.PersistPath = V;
-    } else if (A == "--journal-cap") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.JournalCapacity = static_cast<size_t>(N);
-      JournalCapSet = true;
-    } else if (A == "--write-timeout-ms") {
-      if (!needU64(I, A, N))
-        return 1;
-      Opts.WriteTimeoutMillis = N;
-    } else if (A == "--max-frame-bytes") {
-      if (!needU64(I, A, N) || !N)
-        return 1;
-      Opts.MaxFrameBytes = static_cast<size_t>(N);
-    } else if (A == "--fault") {
-      const char *V = needArg(I, A);
-      if (!V)
-        return 1;
-      if (std::strcmp(V, "list") == 0)
-        return printFaultKinds();
-      ErrorOr<FaultConfig> FC = parseFaultSpec(V);
-      if (!FC) {
-        std::fprintf(stderr, "error: --fault: %s\n", FC.message().c_str());
-        return 1;
-      }
-      Opts.Faults = *FC;
-    } else if (A == "--help" || A == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", A.c_str());
-      usage(argv[0]);
-      return 1;
-    }
-  }
-  if (!JournalCapSet)
-    Opts.JournalCapacity = Opts.CacheCapacity;
+  if (std::optional<int> Exit = parseServeArgs(argc, argv, Opts, usage))
+    return *Exit;
 
   // The worker-slow-start fault: delay the bind, so a supervisor's
   // bounded startup probing (irlt-front) is what the tests exercise.
