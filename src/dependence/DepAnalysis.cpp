@@ -484,8 +484,13 @@ DepDecision Analyzer::analyzePairImpl(const RefOcc &A, const RefOcc &B,
     }
   }
 
+  // Every refinement node adds at most 2N rows, all over the d columns,
+  // and the source, target and symbol eliminations never pair those
+  // rows; so each node can start from one shared elimination of those
+  // columns and take exactly the steps it would take from Sys.
+  std::optional<FMSystem> Shared = Sys.eliminatedBelow(varD(0), 2 * N);
   std::vector<DirState> Prefix;
-  refine(Sys, Prefix, /*SeenGt=*/false, Out);
+  refine(Shared ? *Shared : Sys, Prefix, /*SeenGt=*/false, Out);
   return DepDecision::FM;
 }
 
