@@ -82,6 +82,10 @@ public:
   bool equals(const Expr &O) const;
   bool equals(const ExprRef &O) const { return O && equals(*O); }
 
+  /// A hash of the tree's structure: trees that equals() relates hash
+  /// equal, so a hash mismatch proves two trees unequal.
+  uint64_t structuralHash() const;
+
   /// True if variable \p Name occurs anywhere in this tree.
   bool containsVar(const std::string &Name) const;
 
