@@ -8,9 +8,11 @@
 /// Computes the initial dependence-vector set of a perfect loop nest from
 /// its array accesses, using "standard data dependence analysis
 /// techniques" as the paper prescribes (its citations [4, 6, 10, 12]):
-/// ZIV and GCD filters, a strong-SIV exact test, Banerjee bounds, and -
-/// as the general engine - hierarchical direction-vector refinement over
-/// an exact rational Fourier-Motzkin system (an Omega-style backend).
+/// ZIV and GCD filters, then - for every pair they do not disprove -
+/// hierarchical direction-vector refinement over an exact rational
+/// Fourier-Motzkin system (an Omega-style backend, FMSolver.h). The
+/// strong-SIV and Banerjee tests below are stand-alone helpers; the
+/// analyzer does not call them.
 ///
 /// Output vectors are canonical: exact distances wherever the FM
 /// projection pins the difference to a single integer, direction values
@@ -36,7 +38,7 @@ namespace irlt {
 struct DepAnalysisOptions {
   /// Refine direction entries to exact distances via FM projection.
   bool RefineDistances = true;
-  /// Run the cheap ZIV/GCD/SIV/Banerjee filters before the FM engine.
+  /// Run the cheap ZIV and GCD filters before the FM engine.
   bool UseFastTests = true;
 };
 
@@ -76,7 +78,8 @@ DepSet analyzeDependences(const LoopNest &Nest, const DepAnalysisOptions &Opts,
 /// Human-readable name of a DepDecision ("ziv", "gcd", "fm", ...).
 const char *depDecisionName(DepDecision D);
 
-/// The classic stand-alone tests, exposed for unit testing and reuse.
+/// The classic stand-alone tests, exposed for unit testing and reuse;
+/// the analyzer calls zivEqual and gcdFeasible only.
 /// All of them reason about one subscript-pair equation
 ///   sum_k A[k]*I_k + CA  ==  sum_k B[k]*J_k + CB
 /// between source iteration I and target iteration J.
