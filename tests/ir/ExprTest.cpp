@@ -68,6 +68,25 @@ TEST(Expr, StructuralEquality) {
   EXPECT_FALSE(A->equals(*C)); // structural, not semantic
 }
 
+TEST(Expr, StructuralHashFollowsEquality) {
+  auto Tree = [](const char *V, int64_t K) {
+    return Expr::minE({Expr::floorDivE(Expr::add(Expr::var(V),
+                                                 Expr::intConst(K)),
+                                       Expr::intConst(4)),
+                       Expr::call("colstr", {Expr::var("n")})});
+  };
+  // Equal trees built apart hash equal; the hash is order-sensitive, as
+  // equals() is, and sees leaves deep in the tree.
+  EXPECT_EQ(Tree("i", 3)->structuralHash(), Tree("i", 3)->structuralHash());
+  EXPECT_NE(Tree("i", 3)->structuralHash(), Tree("i", 2)->structuralHash());
+  EXPECT_NE(Tree("i", 3)->structuralHash(), Tree("j", 3)->structuralHash());
+  ExprRef I = Expr::var("i"), J = Expr::var("j");
+  EXPECT_NE(Expr::minE({I, J})->structuralHash(),
+            Expr::minE({J, I})->structuralHash());
+  EXPECT_NE(Expr::minE({I, J})->structuralHash(),
+            Expr::maxE({I, J})->structuralHash());
+}
+
 TEST(Expr, ContainsAndCollectVars) {
   ExprRef E = Expr::add(Expr::call("f", {Expr::var("k")}),
                         Expr::mul(Expr::var("i"), Expr::var("n")));
