@@ -4,8 +4,9 @@
 // built from the paper's bench nests at 1, 4, and 8 worker threads.
 // Records requests/s, the shared-cache hit rates, and the p50/p95
 // whole-request latency, so BENCH_batch.json tracks both scaling and
-// cache effectiveness. Every iteration starts cold, the global legality
-// engine included, so the thread-count series compare like with like.
+// cache effectiveness. Every iteration starts cold: a new BatchEngine
+// owns a new Pipeline, whose caches include its legality engine, so the
+// thread-count series compare like with like.
 // The result stream is byte-identical across the thread counts by
 // contract; only throughput may differ.
 //
@@ -14,7 +15,6 @@
 #include "BenchNests.h"
 
 #include "engine/Engine.h"
-#include "legality/IncrementalEngine.h"
 #include "support/Json.h"
 
 #include "BenchMain.h"
@@ -67,9 +67,6 @@ void BM_BatchEngineThreads(benchmark::State &State) {
   O.Jobs = static_cast<unsigned>(State.range(0));
   engine::EngineMetrics M;
   for (auto _ : State) {
-    // Cold caches each iteration: the engine's, and the process-global
-    // legality engine that would otherwise stay warm across series.
-    legality::IncrementalEngine::global().clear();
     engine::BatchEngine E(O);
     std::string Out = E.runToString(Lines, &M);
     benchmark::DoNotOptimize(Out);
@@ -98,7 +95,6 @@ void BM_BatchEngineCache(benchmark::State &State) {
   O.EnableCache = State.range(0) != 0;
   engine::EngineMetrics M;
   for (auto _ : State) {
-    legality::IncrementalEngine::global().clear();
     engine::BatchEngine E(O);
     std::string Out = E.runToString(Lines, &M);
     benchmark::DoNotOptimize(Out);

@@ -24,56 +24,6 @@ using namespace irlt::api;
 
 namespace {
 
-/// One cache: a bounded LRU map under a mutex. The guarded section is
-/// only the lookup/insert - analysis and legality runs happen outside
-/// the lock, and on a miss race the first insert wins (both computations
-/// produced identical values, so which copy survives is unobservable).
-/// With a capacity set, insertion past the bound evicts the
-/// least-recently-used entry; callers still holding a shared_ptr to an
-/// evicted entry keep a valid reference, and the next lookup of that key
-/// recomputes a byte-identical value.
-template <typename V> class KeyedCache {
-public:
-  explicit KeyedCache(size_t Capacity) : Map(Capacity) {}
-
-  std::shared_ptr<const V> lookup(const std::string &Key) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Map.lookup(Key);
-  }
-
-  /// Inserts \p Val unless \p Key is already present; returns the entry
-  /// that ends up in the cache.
-  std::shared_ptr<const V> insert(const std::string &Key,
-                                  std::shared_ptr<const V> Val) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Map.insert(Key, std::move(Val));
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Map.size();
-  }
-
-  uint64_t inserts() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Map.inserts();
-  }
-
-  uint64_t evictions() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Map.evictions();
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Map.clear();
-  }
-
-private:
-  mutable std::mutex Mu;
-  LruMap<V> Map;
-};
-
 /// A cached dependence analysis. Overflowed records whether coefficient
 /// arithmetic saturated during the run: such a DepSet is untrustworthy,
 /// and storing the flag next to the value keeps cache hits and misses
@@ -83,6 +33,16 @@ struct DepEntry {
   DepSet Deps;
   bool Overflowed = false;
 };
+
+/// The legality engine's bound is the Pipeline's, except that 0 keeps the
+/// engine's own default rather than lifting the bound.
+legality::EngineOptions engineOptions(const PipelineOptions &O) {
+  legality::EngineOptions EO;
+  if (O.CacheCapacity)
+    EO.CacheCapacity = O.CacheCapacity;
+  EO.EnableCache = O.EnableCache;
+  return EO;
+}
 
 } // namespace
 
@@ -95,15 +55,22 @@ struct Pipeline::Impl {
   /// the registry by the differential tooling, not by the facade.
   std::unique_ptr<deps::DepOracle> Oracle;
 
-  KeyedCache<DepEntry> DepCache;
-  KeyedCache<LegalityResult> LegalityCache;
-
+  /// The dependence cache. DepMu guards only the lookup/insert: analysis
+  /// runs outside the lock, and on a miss race the first insert wins
+  /// (both computations produced identical values, so which copy
+  /// survives is unobservable). Callers still holding a shared_ptr to an
+  /// evicted entry keep a valid reference.
+  mutable std::mutex DepMu;
+  LruMap<DepEntry> DepCache;
   std::atomic<uint64_t> DepHits{0}, DepMisses{0};
-  std::atomic<uint64_t> LegalityHits{0}, LegalityMisses{0};
+
+  /// The legality cache: prefix states of the Section 3.2 walk, shared by
+  /// checkLegality, checkLegalityFast, openSequence and searchAuto.
+  legality::IncrementalEngine Legality;
 
   explicit Impl(const PipelineOptions &O)
       : Opts(O), Oracle(deps::makePipelineOracle(O.DepOptions)),
-        DepCache(O.CacheCapacity), LegalityCache(O.CacheCapacity) {}
+        DepCache(O.CacheCapacity), Legality(engineOptions(O)) {}
 };
 
 Pipeline::Pipeline(PipelineOptions Opts)
@@ -160,13 +127,17 @@ std::shared_ptr<const DepSet> Pipeline::dependences(const LoopNest &Nest,
   // such a nest is simply not cacheable.
   if (KeyOverflow)
     return finish(std::make_shared<const DepEntry>(computeEntry()));
-  if (std::shared_ptr<const DepEntry> Hit = M->DepCache.lookup(Key)) {
-    M->DepHits.fetch_add(1, std::memory_order_relaxed);
-    return finish(Hit);
+  {
+    std::lock_guard<std::mutex> Lock(M->DepMu);
+    if (std::shared_ptr<const DepEntry> Hit = M->DepCache.lookup(Key)) {
+      M->DepHits.fetch_add(1, std::memory_order_relaxed);
+      return finish(Hit);
+    }
   }
   M->DepMisses.fetch_add(1, std::memory_order_relaxed);
-  return finish(M->DepCache.insert(
-      Key, std::make_shared<const DepEntry>(computeEntry())));
+  auto Computed = std::make_shared<const DepEntry>(computeEntry());
+  std::lock_guard<std::mutex> Lock(M->DepMu);
+  return finish(M->DepCache.insert(Key, std::move(Computed)));
 }
 
 /// The shared "analysis saturated" verdict: a DepSet computed through
@@ -185,40 +156,7 @@ LegalityResult Pipeline::checkLegality(const TransformSequence &Seq,
   std::shared_ptr<const DepSet> D = dependences(Nest, &DepOverflow);
   if (DepOverflow)
     return depOverflowVerdict();
-  // Misses walk the process-global prefix-memoized engine directly (the
-  // same engine the isLegal() shim wraps): only stages the engine has
-  // not seen are recomputed, and the whole-sequence cache here stays as
-  // the cheaper single-lookup front for exact repeats (and the CacheStats
-  // surface the wire records report).
-  auto Walk = [&]() {
-    return legality::IncrementalEngine::global().check(Seq, Nest, *D,
-                                                       legality::Mode::Full);
-  };
-  if (!M->Opts.EnableCache)
-    return Walk();
-  // Keyed on the sequence exactly as written, NOT on reduced(): the
-  // verdict is not reduction-invariant. Figure 1's skew+interchange is
-  // rejected stage by stage but legal once merged into one Unimodular,
-  // so a reduced() key would let one spelling poison the other. Spellings
-  // that normalize to the same stages (interchange 1 2 / permute 2 1 3)
-  // still share an entry via str(). '\x01' cannot occur in either part.
-  bool KeyOverflow = false;
-  std::string Key;
-  {
-    OverflowGuard Guard;
-    Key = canonicalNestKey(Nest) + '\x01' + Seq.str();
-    KeyOverflow = Guard.triggered();
-  }
-  if (KeyOverflow) // not cacheable; see dependences()
-    return Walk();
-  if (std::shared_ptr<const LegalityResult> Hit =
-          M->LegalityCache.lookup(Key)) {
-    M->LegalityHits.fetch_add(1, std::memory_order_relaxed);
-    return *Hit;
-  }
-  M->LegalityMisses.fetch_add(1, std::memory_order_relaxed);
-  auto Computed = std::make_shared<const LegalityResult>(Walk());
-  return *M->LegalityCache.insert(Key, std::move(Computed));
+  return M->Legality.check(Seq, Nest, *D, legality::Mode::Full);
 }
 
 LegalityResult Pipeline::checkLegalityFast(const TransformSequence &Seq,
@@ -227,8 +165,7 @@ LegalityResult Pipeline::checkLegalityFast(const TransformSequence &Seq,
   std::shared_ptr<const DepSet> D = dependences(Nest, &DepOverflow);
   if (DepOverflow)
     return depOverflowVerdict();
-  return legality::IncrementalEngine::global().check(Seq, Nest, *D,
-                                                     legality::Mode::Fast);
+  return M->Legality.check(Seq, Nest, *D, legality::Mode::Fast);
 }
 
 legality::SequenceBuilder Pipeline::openSequence(const LoopNest &Nest,
@@ -239,7 +176,7 @@ legality::SequenceBuilder Pipeline::openSequence(const LoopNest &Nest,
     // Same degradation as checkLegality: the builder starts failed with
     // the shared saturated-analysis verdict, and extend() refuses stages.
     return legality::SequenceBuilder::failed(depOverflowVerdict());
-  return legality::IncrementalEngine::global().open(Nest, *D, Md);
+  return M->Legality.open(Nest, *D, Md);
 }
 
 analysis::AnalysisReport Pipeline::analyze(const TransformSequence &Seq,
@@ -291,7 +228,7 @@ search::SearchResult Pipeline::searchAuto(const LoopNest &Nest,
     R.Error = "dependence analysis overflows the int64 coefficient range";
     return R;
   }
-  return search::searchTransformations(Nest, *D, Opts);
+  return search::searchTransformations(Nest, *D, Opts, M->Legality);
 }
 
 witness::LadderResult
@@ -324,22 +261,29 @@ CacheStats Pipeline::cacheStats() const {
   CacheStats S;
   S.DepHits = M->DepHits.load(std::memory_order_relaxed);
   S.DepMisses = M->DepMisses.load(std::memory_order_relaxed);
-  S.LegalityHits = M->LegalityHits.load(std::memory_order_relaxed);
-  S.LegalityMisses = M->LegalityMisses.load(std::memory_order_relaxed);
   S.DepLookups = S.DepHits + S.DepMisses;
-  S.LegalityLookups = S.LegalityHits + S.LegalityMisses;
-  S.DepInserts = M->DepCache.inserts();
-  S.DepEvictions = M->DepCache.evictions();
-  S.LegalityInserts = M->LegalityCache.inserts();
-  S.LegalityEvictions = M->LegalityCache.evictions();
-  S.DepEntries = M->DepCache.size();
-  S.LegalityEntries = M->LegalityCache.size();
+  {
+    std::lock_guard<std::mutex> Lock(M->DepMu);
+    S.DepInserts = M->DepCache.inserts();
+    S.DepEvictions = M->DepCache.evictions();
+    S.DepEntries = M->DepCache.size();
+  }
+  legality::EngineStats L = M->Legality.stats();
+  S.LegalityHits = L.Hits;
+  S.LegalityMisses = L.Misses;
+  S.LegalityLookups = L.Hits + L.Misses;
+  S.LegalityInserts = L.Inserts;
+  S.LegalityEvictions = L.Evictions;
+  S.LegalityEntries = L.Entries;
   return S;
 }
 
 void Pipeline::clearCaches() {
-  M->DepCache.clear();
-  M->LegalityCache.clear();
+  {
+    std::lock_guard<std::mutex> Lock(M->DepMu);
+    M->DepCache.clear();
+  }
+  M->Legality.clear();
 }
 
 fuzz::FuzzStats api::runFuzzer(const fuzz::FuzzOptions &Opts) {

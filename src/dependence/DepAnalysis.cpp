@@ -16,7 +16,7 @@
 using namespace irlt;
 
 //===----------------------------------------------------------------------===
-// Stand-alone classic tests
+// Classic filters
 //===----------------------------------------------------------------------===
 
 bool deptest::zivEqual(int64_t CA, int64_t CB) { return CA == CB; }
@@ -28,56 +28,6 @@ bool deptest::gcdFeasible(const std::vector<int64_t> &Coefs, int64_t C0) {
   if (G == 0)
     return C0 == 0;
   return C0 % G == 0;
-}
-
-deptest::SIVResult deptest::strongSIV(int64_t A, int64_t CA, int64_t CB,
-                                      std::optional<int64_t> Lo,
-                                      std::optional<int64_t> Hi) {
-  SIVResult R;
-  assert(A != 0 && "strong SIV requires a non-zero coefficient");
-  int64_t Delta = CB - CA; // a*i1 + CA == a*i2 + CB  =>  i1 - i2 = Delta/a
-  if (Delta % A != 0)
-    return R; // non-integral distance: independent
-  int64_t D = Delta / A;
-  // The distance must fit within the iteration range.
-  if (Lo && Hi) {
-    int64_t Span = *Hi - *Lo;
-    if (Span < 0 || D > Span || D < -Span)
-      return R;
-  }
-  R.Dependent = true;
-  R.Distance = D;
-  return R;
-}
-
-bool deptest::banerjeeFeasible(const std::vector<int64_t> &Coefs, int64_t C0,
-                               const std::vector<std::optional<int64_t>> &Lo,
-                               const std::vector<std::optional<int64_t>> &Hi) {
-  assert(Coefs.size() == Lo.size() && Coefs.size() == Hi.size());
-  // Compute [min, max] of sum Coefs[k]*v_k + C0; unbounded terms with a
-  // non-zero coefficient make the corresponding side infinite.
-  bool MinFinite = true, MaxFinite = true;
-  int64_t Min = C0, Max = C0;
-  for (size_t K = 0; K < Coefs.size(); ++K) {
-    int64_t C = Coefs[K];
-    if (C == 0)
-      continue;
-    const std::optional<int64_t> &L = C > 0 ? Lo[K] : Hi[K];
-    const std::optional<int64_t> &H = C > 0 ? Hi[K] : Lo[K];
-    if (L)
-      Min = addChecked(Min, mulChecked(C, *L));
-    else
-      MinFinite = false;
-    if (H)
-      Max = addChecked(Max, mulChecked(C, *H));
-    else
-      MaxFinite = false;
-  }
-  if (MinFinite && Min > 0)
-    return false;
-  if (MaxFinite && Max < 0)
-    return false;
-  return true;
 }
 
 //===----------------------------------------------------------------------===

@@ -10,9 +10,7 @@
 /// techniques" as the paper prescribes (its citations [4, 6, 10, 12]):
 /// ZIV and GCD filters, then - for every pair they do not disprove -
 /// hierarchical direction-vector refinement over an exact rational
-/// Fourier-Motzkin system (an Omega-style backend, FMSolver.h). The
-/// strong-SIV and Banerjee tests below are stand-alone helpers; the
-/// analyzer does not call them.
+/// Fourier-Motzkin system (an Omega-style backend, FMSolver.h).
 ///
 /// Output vectors are canonical: exact distances wherever the FM
 /// projection pins the difference to a single integer, direction values
@@ -28,7 +26,6 @@
 #include "dependence/DepVector.h"
 #include "ir/LoopNest.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,9 +75,8 @@ DepSet analyzeDependences(const LoopNest &Nest, const DepAnalysisOptions &Opts,
 /// Human-readable name of a DepDecision ("ziv", "gcd", "fm", ...).
 const char *depDecisionName(DepDecision D);
 
-/// The classic stand-alone tests, exposed for unit testing and reuse;
-/// the analyzer calls zivEqual and gcdFeasible only.
-/// All of them reason about one subscript-pair equation
+/// The classic filters the analyzer runs before FM, exposed for unit
+/// testing. Both reason about one subscript-pair equation
 ///   sum_k A[k]*I_k + CA  ==  sum_k B[k]*J_k + CB
 /// between source iteration I and target iteration J.
 namespace deptest {
@@ -92,24 +88,6 @@ bool zivEqual(int64_t CA, int64_t CB);
 /// GCD test on  sum Coefs[i]*v_i == C0  over free integers v: returns
 /// false when no integer solution exists (gcd does not divide C0).
 bool gcdFeasible(const std::vector<int64_t> &Coefs, int64_t C0);
-
-/// Strong SIV: subscripts a*i + CA (write) and a*i + CB (read) in the same
-/// loop variable. The dependence distance is (CA - CB)/a when integral;
-/// Lo/Hi bound the loop's iteration range when known.
-struct SIVResult {
-  bool Dependent = false;
-  std::optional<int64_t> Distance; // set when Dependent
-};
-SIVResult strongSIV(int64_t A, int64_t CA, int64_t CB,
-                    std::optional<int64_t> Lo, std::optional<int64_t> Hi);
-
-/// Banerjee-style extreme-value test:  is 0 in [min, max] of
-///   sum_k Coefs[k]*v_k + C0  where v_k ranges over [Lo[k], Hi[k]]
-/// (unbounded entries use nullopt)? \returns false when provably no
-/// dependence.
-bool banerjeeFeasible(const std::vector<int64_t> &Coefs, int64_t C0,
-                      const std::vector<std::optional<int64_t>> &Lo,
-                      const std::vector<std::optional<int64_t>> &Hi);
 
 } // namespace deptest
 

@@ -310,8 +310,10 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
     if (deadlineExpired("legality", Req.Id))
       return Out;
     // The winner is legal by construction; re-deriving the verdict here
-    // exercises (and fills) the shared legality cache and reports the
-    // final mapped dependence set.
+    // reports the final mapped dependence set. The search confirmed the
+    // winner through the same Pipeline's legality engine, so this walk
+    // hits its cached prefixes unless reduce or validation changed the
+    // sequence.
     LegalityResult L = timed(Sampler, Stage::Legality,
                              [&] { return P.checkLegality(Seq, Nest); });
     writeLegality(W, L);

@@ -62,8 +62,8 @@ struct EngineOptions {
   unsigned Jobs = 1;
   /// Shared memoization caches (api::PipelineOptions::EnableCache).
   bool EnableCache = true;
-  /// Per-cache entry bound (api::PipelineOptions::CacheCapacity);
-  /// 0 = unbounded. Eviction never changes any result record.
+  /// Per-cache entry bound (api::PipelineOptions::CacheCapacity, which
+  /// says what 0 means). Eviction never changes any result record.
   size_t CacheCapacity = 0;
   /// Force validation of every request with this instance budget
   /// (irlt-batch --validate[=N]); per-request "validate" fields win.

@@ -486,11 +486,10 @@ IncrementalEngine &IncrementalEngine::global() {
 }
 
 //===----------------------------------------------------------------------===//
-// The whole-sequence entry points, now thin shims over the engine. The
+// The whole-sequence entry points, thin shims over the global engine. The
 // declarations stay in transform/Sequence.h and transform/TypeState.h;
-// every caller - search leaves, witness certify/check, the analyzer's
-// goldens, the fuzz oracles, the Pipeline caches - funnels through the
-// one engine and shares its prefix cache.
+// library callers without an engine of their own - witness certify/check,
+// the fuzz oracles, AutoPar's search leaves - share its prefix cache.
 //===----------------------------------------------------------------------===//
 
 LegalityResult irlt::isLegal(const TransformSequence &T, const LoopNest &Nest,

@@ -247,9 +247,10 @@ public:
   Stats stats() const;
   void clear();
 
-  /// The process-wide engine behind the isLegal()/isLegalFast() shims -
-  /// shared by every thread, which is what lets concurrent search
-  /// workers reuse each other's prefixes.
+  /// The process-wide engine behind the isLegal()/isLegalFast() shims,
+  /// for library callers only (the fuzz oracles, witness::certify,
+  /// AutoPar, benchmarks). An api::Pipeline checks legality through its
+  /// own engine, bounded, cleared and counted with its other caches.
   static IncrementalEngine &global();
 
 private:

@@ -129,7 +129,8 @@ struct LeafEval {
 };
 
 LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
-                     const SearchOptions &Opts, CostModel *CM) {
+                     const SearchOptions &Opts, CostModel *CM,
+                     legality::IncrementalEngine &Legality) {
   LeafEval E;
 
   // A trailing Parallelize, chosen greedily against the final mapped
@@ -180,9 +181,9 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
   // Analyzer pre-filter (docs/ANALYSIS.md): the fast pruning already
   // validated this prefix's per-stage preconditions, so the only verdict
   // the full test can add is the final lexicographic check (rule E100).
-  // Running it directly on the final mapped set skips the whole isLegal
+  // Running it directly on the final mapped set skips the whole legality
   // walk for candidates that are certain to be rejected. Overflow falls
-  // through to isLegal, which classifies it properly.
+  // through to the walk, which classifies it properly.
   {
     OverflowGuard Guard;
     DepSet Final = ParallelLoops.empty()
@@ -202,11 +203,12 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
   E.Submitted = true;
   // Leaves are re-confirmed with the *full* uniform legality test: the
   // fast path pruned on types only, and the lexicographic test never ran
-  // on intermediate stages. isLegal() is the prefix-memoized engine
-  // (legality/IncrementalEngine.h), so leaves sharing a prefix - the
-  // common case in a beam, including across worker threads - pay only
-  // the trailing Parallelize stage plus the final lexicographic test.
-  LegalityResult L = isLegal(LeafSeq, Nest, D);
+  // on intermediate stages. The caller's prefix-memoized engine
+  // (legality/IncrementalEngine.h) runs it, so leaves sharing a prefix -
+  // the common case in a beam, including across worker threads - pay
+  // only the trailing Parallelize stage plus the final lexicographic
+  // test.
+  LegalityResult L = Legality.check(LeafSeq, Nest, D, legality::Mode::Full);
   if (!L.Legal)
     return E;
   E.Legal = true;
@@ -227,9 +229,10 @@ bool candidateLess(const ScoredSequence &A, const ScoredSequence &B) {
 
 } // namespace
 
-SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
-                                                 const DepSet &D,
-                                                 const SearchOptions &Opts) {
+SearchResult
+irlt::search::searchTransformations(const LoopNest &Nest, const DepSet &D,
+                                    const SearchOptions &Opts,
+                                    legality::IncrementalEngine &Legality) {
   SearchResult R;
   unsigned N = Nest.numLoops();
   if (N == 0)
@@ -283,7 +286,7 @@ SearchResult irlt::search::searchTransformations(const LoopNest &Nest,
     std::vector<LeafEval> Evals(States.size());
     parallelFor(States.size(), Threads, [&](size_t I) {
       if (!cancelled()) // before the leaf's measurement
-        Evals[I] = finishState(States[I], Nest, D, Opts, CM.get());
+        Evals[I] = finishState(States[I], Nest, D, Opts, CM.get(), Legality);
     });
     for (LeafEval &E : Evals) {
       if (E.AnalyzerPruned)

@@ -20,7 +20,7 @@
 /// preconditions hold (TypeState propagation) and the anchor-dependence
 /// side condition passes; the lexicographic dependence test only gates
 /// *finished* candidates, and every accepted leaf is re-confirmed with
-/// the full uniform legality test isLegal() before it can be reported.
+/// the full uniform legality test before it can be reported.
 ///
 /// Parallelize is never enumerated as a step: each frontier state is
 /// finished by greedily parallelizing its final mapped dependence set
@@ -40,8 +40,8 @@
 /// queueing behind whole states. Requested thread counts are clamped to
 /// the hardware concurrency (oversubscribing a deterministic CPU-bound
 /// search only adds scheduling overhead), which the contract above makes
-/// unobservable. Leaf confirmations run through the process-wide
-/// prefix-memoized legality engine (legality/IncrementalEngine.h), so
+/// unobservable. Leaf confirmations run through the prefix-memoized
+/// legality engine the caller passes (legality/IncrementalEngine.h), so
 /// concurrent workers share each other's surviving prefixes.
 ///
 //===----------------------------------------------------------------------===//
@@ -49,6 +49,7 @@
 #ifndef IRLT_SEARCH_SEARCH_H
 #define IRLT_SEARCH_SEARCH_H
 
+#include "legality/IncrementalEngine.h"
 #include "search/Candidates.h"
 #include "search/CostModel.h"
 #include "transform/Sequence.h"
@@ -124,10 +125,10 @@ struct SearchStats {
   uint64_t Enumerated = 0; ///< states considered: root + candidate steps
   uint64_t Pruned = 0;     ///< steps rejected by type-state/anchor/overflow
   uint64_t Deduped = 0;    ///< states merged by canonical key
-  uint64_t Leaves = 0;     ///< finished candidates submitted to isLegal
+  uint64_t Leaves = 0;     ///< finished candidates submitted to legality
   uint64_t Legal = 0;      ///< leaves the full legality test confirmed
   /// Finished candidates the analyzer pre-filter (rule E100 on the final
-  /// mapped dependence set) rejected without submitting to isLegal.
+  /// mapped dependence set) rejected without submitting to legality.
   uint64_t AnalyzerPruned = 0;
 };
 
@@ -147,9 +148,12 @@ struct SearchResult {
 };
 
 /// Searches for a legal transformation sequence of \p Nest (dependence
-/// set \p D) optimizing \p Opts.Obj. Never mutates the nest.
-SearchResult searchTransformations(const LoopNest &Nest, const DepSet &D,
-                                   const SearchOptions &Opts = {});
+/// set \p D) optimizing \p Opts.Obj. Never mutates the nest. Leaves are
+/// confirmed through \p Legality, whose prefix cache they fill.
+SearchResult searchTransformations(
+    const LoopNest &Nest, const DepSet &D, const SearchOptions &Opts = {},
+    legality::IncrementalEngine &Legality =
+        legality::IncrementalEngine::global());
 
 } // namespace search
 } // namespace irlt

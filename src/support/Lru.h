@@ -80,7 +80,10 @@ public:
   uint64_t inserts() const { return Inserts; }
   uint64_t evictions() const { return Evictions; }
 
+  /// Drops every entry. The dropped entries count as evictions, so the
+  /// counters stay monotonic and inserts() - evictions() == size() holds.
   void clear() {
+    Evictions += Order.size();
     Order.clear();
     Index.clear();
   }

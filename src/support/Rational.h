@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small exact rational number over int64, used by the Fourier-Motzkin
-/// feasibility solver in the dependence analyzer and by the Banerjee bounds
-/// test. Always kept in canonical form (positive denominator, reduced).
+/// A small exact rational number over int64, used for the variable bounds
+/// the Fourier-Motzkin solver in the dependence analyzer projects out.
+/// Always kept in canonical form (positive denominator, reduced).
 ///
 //===----------------------------------------------------------------------===//
 

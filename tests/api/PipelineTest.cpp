@@ -38,6 +38,25 @@ LoopNest load(Pipeline &P, const char *Src) {
   return N.take();
 }
 
+TransformSequence script(Pipeline &P, const char *Text, unsigned NumLoops) {
+  ErrorOr<TransformSequence> Seq = P.parseScript(Text, NumLoops);
+  EXPECT_TRUE(static_cast<bool>(Seq)) << Seq.message();
+  return Seq.take();
+}
+
+void expectSameVerdict(const LegalityResult &A, const LegalityResult &B,
+                       const std::string &What) {
+  EXPECT_EQ(A.Legal, B.Legal) << What;
+  EXPECT_EQ(A.Kind, B.Kind) << What;
+  EXPECT_EQ(A.Reason, B.Reason) << What;
+  EXPECT_EQ(A.FinalDeps.str(), B.FinalDeps.str()) << What;
+}
+
+/// Four stages that parse against both nests below; the walk of each
+/// nest consumes all four unless a stage rejects.
+const char *FourStages = "interchange 1 2\nreverse 2\ninterchange 1 2\n"
+                         "reverse 1";
+
 } // namespace
 
 TEST(Pipeline, LoadParseApplyEmit) {
@@ -145,10 +164,99 @@ TEST(Pipeline, ClearCachesDropsEntries) {
   LoopNest Nest = load(P, Stencil);
   P.dependences(Nest);
   P.checkLegality(TransformSequence(), Nest);
+  P.checkLegality(script(P, "skew 1 2 1\ninterchange 1 2", 2), Nest);
   EXPECT_GT(P.cacheStats().DepEntries, 0u);
+  EXPECT_GT(P.cacheStats().LegalityEntries, 0u);
   P.clearCaches();
-  EXPECT_EQ(P.cacheStats().DepEntries, 0u);
-  EXPECT_EQ(P.cacheStats().LegalityEntries, 0u);
+  CacheStats S = P.cacheStats();
+  EXPECT_EQ(S.DepEntries, 0u);
+  EXPECT_EQ(S.LegalityEntries, 0u);
+  // Cleared entries count as evictions, so the counters still reconcile.
+  EXPECT_EQ(S.DepInserts - S.DepEvictions, S.DepEntries);
+  EXPECT_EQ(S.LegalityInserts - S.LegalityEvictions, S.LegalityEntries);
+}
+
+TEST(Pipeline, LegalityRunsThroughThePipelinesOwnEngine) {
+  legality::IncrementalEngine &G = legality::IncrementalEngine::global();
+  Pipeline P;
+  LoopNest Nest = load(P, Matmul);
+  TransformSequence Seq = script(P, FourStages, 3);
+  auto expectOwnEngineOnly = [&](const char *What, auto &&Call) {
+    legality::EngineStats Before = G.stats();
+    uint64_t Lookups = P.cacheStats().LegalityLookups;
+    Call();
+    legality::EngineStats After = G.stats();
+    EXPECT_EQ(After.Hits, Before.Hits) << What;
+    EXPECT_EQ(After.Misses, Before.Misses) << What;
+    EXPECT_EQ(After.Inserts, Before.Inserts) << What;
+    EXPECT_EQ(After.Uncacheable, Before.Uncacheable) << What;
+    EXPECT_GT(P.cacheStats().LegalityLookups, Lookups) << What;
+  };
+  expectOwnEngineOnly("checkLegality", [&] { P.checkLegality(Seq, Nest); });
+  expectOwnEngineOnly("checkLegalityFast",
+                      [&] { P.checkLegalityFast(Seq, Nest); });
+  expectOwnEngineOnly("openSequence", [&] {
+    legality::SequenceBuilder B = P.openSequence(Nest);
+    for (const TemplateRef &Step : Seq.steps())
+      B.extend(Step);
+    B.finish();
+  });
+  expectOwnEngineOnly("searchAuto", [&] {
+    search::SearchOptions SO;
+    SO.Beam = 2;
+    SO.Depth = 1;
+    P.searchAuto(Nest, SO);
+  });
+}
+
+TEST(Pipeline, CacheCapacityBoundsTheLegalityEngine) {
+  PipelineOptions Bounded;
+  Bounded.CacheCapacity = 2;
+  Pipeline Tiny(Bounded), Unbounded;
+  for (int Round = 0; Round < 2; ++Round) {
+    for (const char *Src : {Matmul, Stencil}) {
+      LoopNest Nest = load(Tiny, Src);
+      TransformSequence Seq = script(Tiny, FourStages, Nest.numLoops());
+      expectSameVerdict(Tiny.checkLegality(Seq, Nest),
+                        Unbounded.checkLegality(Seq, Nest), Src);
+      EXPECT_LE(Tiny.cacheStats().LegalityEntries, 2u);
+    }
+  }
+  CacheStats S = Tiny.cacheStats();
+  EXPECT_GT(S.LegalityEvictions, 0u);
+  EXPECT_EQ(S.LegalityHits + S.LegalityMisses, S.LegalityLookups);
+  EXPECT_EQ(S.LegalityInserts - S.LegalityEvictions, S.LegalityEntries);
+}
+
+TEST(Pipeline, CacheOffRecordsNoLegalityLookups) {
+  PipelineOptions Off;
+  Off.EnableCache = false;
+  Pipeline Cached, Uncached(Off);
+  for (const char *Src : {Matmul, Stencil}) {
+    LoopNest Nest = load(Cached, Src);
+    TransformSequence Seq = script(Cached, FourStages, Nest.numLoops());
+    expectSameVerdict(Uncached.checkLegality(Seq, Nest),
+                      Cached.checkLegality(Seq, Nest), Src);
+    expectSameVerdict(Uncached.checkLegalityFast(Seq, Nest),
+                      Cached.checkLegalityFast(Seq, Nest), Src);
+    legality::SequenceBuilder B = Uncached.openSequence(Nest);
+    for (const TemplateRef &Step : Seq.steps())
+      B.extend(Step);
+    expectSameVerdict(B.finish(), Cached.checkLegality(Seq, Nest), Src);
+  }
+  search::SearchOptions SO;
+  SO.Beam = 2;
+  SO.Depth = 1;
+  LoopNest Nest = load(Cached, Matmul);
+  search::SearchResult RU = Uncached.searchAuto(Nest, SO);
+  search::SearchResult RC = Cached.searchAuto(Nest, SO);
+  ASSERT_TRUE(RU.Best.has_value() && RC.Best.has_value());
+  EXPECT_EQ(RU.Best->Seq.str(), RC.Best->Seq.str());
+  EXPECT_EQ(RU.Stats.Legal, RC.Stats.Legal);
+  CacheStats S = Uncached.cacheStats();
+  EXPECT_EQ(S.LegalityLookups, 0u);
+  EXPECT_EQ(S.LegalityInserts, 0u);
+  EXPECT_EQ(S.LegalityEntries, 0u);
 }
 
 TEST(Pipeline, SearchAutoFindsLegalSequence) {

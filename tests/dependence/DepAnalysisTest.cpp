@@ -173,7 +173,7 @@ TEST(DepAnalysis, MatchesGroundTruthOnConcreteRuns) {
   }
 }
 
-//===--- Stand-alone classic tests -----------------------------------------===
+//===--- Classic filters ---------------------------------------------------===
 
 TEST(ClassicTests, Ziv) {
   EXPECT_TRUE(deptest::zivEqual(3, 3));
@@ -187,37 +187,6 @@ TEST(ClassicTests, Gcd) {
   EXPECT_TRUE(deptest::gcdFeasible({}, 0));
   EXPECT_FALSE(deptest::gcdFeasible({}, 1));
   EXPECT_FALSE(deptest::gcdFeasible({4, 6}, 5));
-}
-
-TEST(ClassicTests, StrongSIV) {
-  // a*i + CA == a*i' + CB with a=2, CA=0, CB=4: distance (0-4)/2... the
-  // convention: distance = (CA - CB)/a from the callee's doc:
-  // i1 - i2 = (CB - CA)/a.
-  deptest::SIVResult R = deptest::strongSIV(2, 0, 4, 1, 100);
-  EXPECT_TRUE(R.Dependent);
-  EXPECT_EQ(*R.Distance, 2);
-  // Non-integral distance: independent.
-  EXPECT_FALSE(deptest::strongSIV(2, 0, 3, 1, 100).Dependent);
-  // Distance exceeding the iteration span: independent.
-  EXPECT_FALSE(deptest::strongSIV(1, 0, 50, 1, 10).Dependent);
-  // Unknown bounds: dependent with the computed distance.
-  deptest::SIVResult R2 =
-      deptest::strongSIV(1, 5, 2, std::nullopt, std::nullopt);
-  EXPECT_TRUE(R2.Dependent);
-  EXPECT_EQ(*R2.Distance, -3);
-}
-
-TEST(ClassicTests, BanerjeeBounds) {
-  // h = i - j + 0 with i, j in [1, 10]: range [-9, 9] contains 0.
-  EXPECT_TRUE(deptest::banerjeeFeasible({1, -1}, 0, {1, 1}, {10, 10}));
-  // h = i - j + 20: range [11, 29] excludes 0.
-  EXPECT_FALSE(deptest::banerjeeFeasible({1, -1}, 20, {1, 1}, {10, 10}));
-  // Unbounded variable with non-zero coefficient: cannot exclude.
-  EXPECT_TRUE(deptest::banerjeeFeasible({1, -1}, 20, {1, std::nullopt},
-                                        {10, std::nullopt}));
-  // Zero-coefficient unbounded variable is irrelevant.
-  EXPECT_FALSE(deptest::banerjeeFeasible({1, 0}, 20, {1, std::nullopt},
-                                         {10, std::nullopt}));
 }
 
 } // namespace
