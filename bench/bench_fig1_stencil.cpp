@@ -32,6 +32,7 @@ static void BM_Fig1FullPipeline(benchmark::State &State) {
 BENCHMARK(BM_Fig1FullPipeline);
 
 static void BM_Fig1LegalityOnly(benchmark::State &State) {
+  // isLegal() is the uncached walk: every iteration runs every stage.
   LoopNest N = bench::stencilNest();
   DepSet D = analyzeDependences(N);
   TransformSequence Seq = bench::figure1Sequence();

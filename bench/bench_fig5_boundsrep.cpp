@@ -10,7 +10,6 @@
 #include "BenchNests.h"
 
 #include "bounds/BoundsMatrices.h"
-#include "legality/IncrementalEngine.h"
 #include "transform/TypeState.h"
 
 #include "BenchMain.h"
@@ -87,9 +86,8 @@ BENCHMARK(BM_TypePredicatesViaExpressions);
 
 void BM_FastLegalityFigure7(benchmark::State &State) {
   // The whole Figure 7 pipeline's legality via type propagation, no
-  // bound expressions materialized. After the first iteration these are
-  // hits in the global legality engine; the Uncached series below time
-  // the walks themselves.
+  // bound expressions materialized: the uncached Section 4.3 walk, against
+  // the full walk below.
   LoopNest N = bench::matmulNest();
   DepSet D = analyzeDependences(N);
   TransformSequence Seq = bench::figure7Sequence();
@@ -110,29 +108,6 @@ void BM_FullLegalityFigure7(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_FullLegalityFigure7);
-
-/// The Section 4.3 claim itself: the walk in mode \p M, computed on
-/// every iteration by an engine whose cache is off.
-void legalityFigure7Uncached(benchmark::State &State, legality::Mode M) {
-  LoopNest N = bench::matmulNest();
-  DepSet D = analyzeDependences(N);
-  TransformSequence Seq = bench::figure7Sequence();
-  legality::IncrementalEngine Eng(legality::EngineOptions{0, false});
-  for (auto _ : State) {
-    LegalityResult L = Eng.check(Seq, N, D, M);
-    benchmark::DoNotOptimize(L);
-  }
-}
-
-void BM_FastLegalityFigure7Uncached(benchmark::State &State) {
-  legalityFigure7Uncached(State, legality::Mode::Fast);
-}
-BENCHMARK(BM_FastLegalityFigure7Uncached);
-
-void BM_FullLegalityFigure7Uncached(benchmark::State &State) {
-  legalityFigure7Uncached(State, legality::Mode::Full);
-}
-BENCHMARK(BM_FullLegalityFigure7Uncached);
 
 void BM_MatrixRendering(benchmark::State &State) {
   BoundsMatrices M = BoundsMatrices::fromNest(fig5Nest());

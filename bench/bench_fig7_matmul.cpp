@@ -22,6 +22,7 @@ using namespace irlt;
 namespace {
 
 void BM_Fig7PipelineLegalityAndCodegen(benchmark::State &State) {
+  // isLegal() is the uncached walk: every iteration runs every stage.
   LoopNest N = bench::matmulNest();
   DepSet D = analyzeDependences(N);
   TransformSequence Seq = bench::figure7Sequence();

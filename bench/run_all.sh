@@ -16,10 +16,10 @@
 # (e.g. IRLT_BENCH_ARGS=--benchmark_min_time=0.01 for a quick pass).
 #
 # OUT carries both legality-vs-sequence-length series from
-# bench_fig2_legality: BM_LegalityVsSequenceLength (the prefix-memoized
-# engine behind isLegal) and BM_LegalityVsSequenceLengthLegacy (the
-# uncached whole-sequence walk) - their ratio tracks the incremental
-# engine's payoff across commits.
+# bench_fig2_legality: BM_LegalityVsSequenceLength (a prefix-memoized
+# engine the benchmark owns) and BM_LegalityVsSequenceLengthLegacy
+# (isLegal(), the uncached whole-sequence walk) - their ratio tracks the
+# incremental engine's payoff across commits.
 set -u
 
 BUILD_DIR="${1:-build}"

@@ -417,10 +417,11 @@ AnalysisReport irlt::analysis::analyzeSequence(const TransformSequence &T,
     return false;
   };
 
-  // The walk: isLegal()'s own stage function (legality::stepStage, full
-  // mode, no cache), so a sequence is error-clean here exactly when
-  // isLegal() accepts it. Provenance and lint read the states before and
-  // after each stage under their own guards.
+  // The walk: the stage function that mirrors isLegal()'s walk
+  // (legality::stepStage, full mode, no cache), so a sequence is
+  // error-clean here exactly when isLegal() accepts it. Provenance and
+  // lint read the states before and after each stage under their own
+  // guards.
   legality::PrefixState Cur;
   Cur.Nest = Nest;
   Cur.Deps = D;

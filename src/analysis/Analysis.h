@@ -18,9 +18,10 @@
 /// offending dependence vector or bounds expression, and the inferred
 /// TypeState lattice element.
 ///
-/// Error-class rules come from isLegal()'s own stage function: the walk
-/// steps a prefix through legality::stepStage (full mode, no cache) and
-/// maps each stage rejection to a rule, so a sequence is error-clean if
+/// Error-class rules come from the legality stage function, which runs
+/// each stage exactly as isLegal()'s walk does: the analyzer steps a
+/// prefix through legality::stepStage (full mode, no cache) and maps
+/// each stage rejection to a rule, so a sequence is error-clean if
 /// and only if isLegal() accepts it, and the first error finding carries
 /// isLegal()'s stage and message - the invariant the fuzzer's analyzer
 /// oracle enforces. Warning-class lint rules flag legal-but-wasteful

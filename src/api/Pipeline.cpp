@@ -35,7 +35,8 @@ struct DepEntry {
 };
 
 /// The legality engine's bound is the Pipeline's, except that 0 keeps the
-/// engine's own default rather than lifting the bound.
+/// engine's own default rather than lifting the bound. The dependence
+/// cache takes the same bound.
 legality::EngineOptions engineOptions(const PipelineOptions &O) {
   legality::EngineOptions EO;
   if (O.CacheCapacity)
@@ -70,7 +71,7 @@ struct Pipeline::Impl {
 
   explicit Impl(const PipelineOptions &O)
       : Opts(O), Oracle(deps::makePipelineOracle(O.DepOptions)),
-        DepCache(O.CacheCapacity), Legality(engineOptions(O)) {}
+        DepCache(engineOptions(O).CacheCapacity), Legality(engineOptions(O)) {}
 };
 
 Pipeline::Pipeline(PipelineOptions Opts)

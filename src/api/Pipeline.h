@@ -69,13 +69,12 @@ struct PipelineOptions {
   bool EnableCache = true;
   /// Dependence-analysis options used for cached analysis runs.
   DepAnalysisOptions DepOptions;
-  /// Per-cache entry bound. When set, each cache evicts
-  /// least-recently-used entries past the bound. 0 leaves the dependence
-  /// cache unbounded and keeps the legality engine at its 4,096-entry
-  /// default (legality::EngineOptions). Eviction is deterministic in the
-  /// access sequence, and an evicted entry simply recomputes on its next
-  /// use to a byte-identical value - capacity is a memory knob, never a
-  /// correctness one.
+  /// Per-cache entry bound: each cache evicts least-recently-used entries
+  /// past it. 0 bounds both caches at the legality engine's 4,096-entry
+  /// default (legality::EngineOptions); no setting leaves a cache
+  /// unbounded. Eviction is deterministic in the access sequence, and an
+  /// evicted entry simply recomputes on its next use to a byte-identical
+  /// value - capacity is a memory knob, never a correctness one.
   size_t CacheCapacity = 0;
 };
 
@@ -211,7 +210,8 @@ public:
            const witness::ValidateOptions &Opts) const;
 
   /// Machine-checkable certificate for a legality verdict, plus the
-  /// third-party checker.
+  /// third-party checker. Both run the uncached isLegal() walk; only the
+  /// dependence set comes from this Pipeline's cache.
   witness::Certificate certify(const TransformSequence &Seq,
                                const LoopNest &Nest);
   std::string checkCertificate(const witness::Certificate &C,

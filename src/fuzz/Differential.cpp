@@ -129,19 +129,18 @@ CaseOutcome irlt::fuzz::runCase(const FuzzCase &C,
   // full test rejects. An overflow rejection carries no verdict - the
   // full test's own arithmetic saturated - so it is excluded from the
   // comparison (the fast path does none of that arithmetic and may
-  // legitimately still accept). These are deliberate calls to the raw
-  // isLegal()/isLegalFast() entry points rather than api::Pipeline: the
-  // oracle diffs the two engine modes against each other, and both now
-  // route through the prefix-memoized engine, so the fuzzer doubles as
-  // its cache-soundness stressor.
+  // legitimately still accept). These are deliberate calls to the
+  // uncached isLegal()/isLegalFast() walks rather than api::Pipeline: the
+  // oracle diffs the paper's two walks against each other, and no cache
+  // sits between them.
   LegalityResult L = isLegal(Seq, Nest, D);
 
-  // 4b. Analyzer oracle: the static diagnostic engine steps the same
-  // stage function without the prefix cache and without executing
+  // 4b. Analyzer oracle: the static diagnostic engine steps the prefix
+  // engine's stage function (legality::stepStage) without executing
   // anything (docs/ANALYSIS.md), so its error-class verdict must agree
-  // with the cached full test on every case - an error-clean report on
-  // an illegal sequence or an error finding on a legal one are both
-  // bugs in the analyzer or the cache.
+  // with the paper's walk on every case - an error-clean report on an
+  // illegal sequence or an error finding on a legal one are both bugs in
+  // the analyzer or in the stage function.
   analysis::AnalysisReport AR = analysis::analyzeSequence(Seq, Nest, D);
   if (L.Legal && AR.hasErrors()) {
     std::string First;

@@ -15,203 +15,10 @@ using namespace irlt;
 using namespace irlt::legality;
 
 //===----------------------------------------------------------------------===//
-// The legacy whole-sequence walks, verbatim. These are the ground truth
-// the incremental path below must match byte for byte - same operation
-// order, same Diag strings, same stage attribution - and the uncached
-// "legacy" series in the benchmarks. stepStage() runs one stage exactly
-// as they do, and the IncrementalEquivalence suite holds it to them, so
-// a change to either side must be made to both.
-//===----------------------------------------------------------------------===//
-
-static LegalityResult referenceFull(const TransformSequence &T,
-                                    const LoopNest &Nest, const DepSet &D) {
-  LegalityResult R;
-  using RK = LegalityResult::RejectKind;
-
-  // Part (b): loop-bounds preconditions, stage by stage. Each stage's
-  // preconditions are evaluated against the nest produced by the previous
-  // stages, so the bounds pipeline runs alongside; the dependence set is
-  // threaded along for the anchor-dependence side condition (see
-  // checkAnchorDependence). Coefficient overflow at any stage degrades to
-  // a clean Overflow rejection rather than UB.
-  LoopNest Cur = Nest;
-  DepSet CurDeps = D;
-  unsigned Stage = 0;
-  for (const TemplateRef &Step : T.steps()) {
-    ++Stage;
-    OverflowGuard Guard;
-    auto overflowed = [&]() {
-      if (!Guard.triggered())
-        return false;
-      R.reject(RK::Overflow,
-               Diag::error("coefficient arithmetic overflows the int64 "
-                           "range (bounds overflow)")
-                   .atStage(Stage)
-                   .inTemplate(Step->name()));
-      return true;
-    };
-    std::string E = Step->checkPreconditions(Cur);
-    if (overflowed())
-      return R;
-    if (!E.empty()) {
-      R.reject(RK::BoundsPrecondition,
-               Diag::error("bounds precondition violated: " + E)
-                   .atStage(Stage)
-                   .inTemplate(Step->name()));
-      return R;
-    }
-    E = checkAnchorDependence(*Step, NestTypeState::fromNest(Cur), CurDeps);
-    if (overflowed())
-      return R;
-    if (!E.empty()) {
-      R.reject(RK::DependencePrecondition,
-               Diag::error("dependence precondition violated: " + E)
-                   .atStage(Stage)
-                   .inTemplate(Step->name()));
-      return R;
-    }
-    ErrorOr<LoopNest> Next = Step->apply(Cur);
-    if (overflowed())
-      return R;
-    if (!Next) {
-      R.reject(RK::ApplyFailure, Diag::error(Next.message())
-                                     .atStage(Stage)
-                                     .inTemplate(Step->str()));
-      return R;
-    }
-    Cur = Next.take();
-    CurDeps = Step->mapDependences(CurDeps);
-    if (overflowed())
-      return R;
-  }
-
-  // Part (a): the dependence test on the *final* mapped set only -
-  // intermediate sets may be lexicographically negative (Section 3.2).
-  R.FinalDeps = std::move(CurDeps);
-  for (const DepVector &V : R.FinalDeps.vectors()) {
-    if (V.canBeLexNegative()) {
-      R.reject(RK::LexNegative,
-               Diag::error("transformed dependence vector " + V.str() +
-                           " admits a lexicographically negative tuple"));
-      return R;
-    }
-  }
-  R.Legal = true;
-  return R;
-}
-
-static LegalityResult referenceFast(const TransformSequence &T,
-                                    const LoopNest &Nest, const DepSet &D) {
-  LegalityResult R;
-  using RK = LegalityResult::RejectKind;
-  NestTypeState State = NestTypeState::fromNest(Nest);
-
-  // Lazy fallback materialization for extension templates: Applied tracks
-  // the concrete nest up to (but excluding) step NextToApply.
-  LoopNest Applied = Nest;
-  size_t AppliedThrough = 0;
-
-  DepSet CurDeps = D;
-  unsigned Stage = 0;
-  for (const TemplateRef &Step : T.steps()) {
-    ++Stage;
-    OverflowGuard Guard;
-    auto overflowed = [&]() {
-      if (!Guard.triggered())
-        return false;
-      R.reject(RK::Overflow,
-               Diag::error("coefficient arithmetic overflows the int64 "
-                           "range (bounds overflow)")
-                   .atStage(Stage)
-                   .inTemplate(Step->name()));
-      return true;
-    };
-    std::string E = checkAnchorDependence(*Step, State, CurDeps);
-    if (overflowed())
-      return R;
-    if (!E.empty()) {
-      R.reject(RK::DependencePrecondition,
-               Diag::error("dependence precondition violated: " + E)
-                   .atStage(Stage)
-                   .inTemplate(Step->name()));
-      return R;
-    }
-    std::optional<ErrorOr<NestTypeState>> Next = mapTypes(*Step, State);
-    if (overflowed())
-      return R;
-    if (Next) {
-      if (!*Next) {
-        R.reject(RK::BoundsPrecondition,
-                 Diag::error("bounds precondition violated: " +
-                             Next->message())
-                     .atStage(Stage)
-                     .inTemplate(Step->name()));
-        return R;
-      }
-      State = Next->take();
-      CurDeps = Step->mapDependences(CurDeps);
-      if (overflowed())
-        return R;
-      continue;
-    }
-    // No type rule: materialize the concrete nest up to this stage and
-    // apply the step for real.
-    for (size_t I = AppliedThrough; I + 1 < Stage; ++I) {
-      ErrorOr<LoopNest> NextNest = T.steps()[I]->apply(Applied);
-      if (overflowed())
-        return R;
-      if (!NextNest) {
-        R.reject(RK::ApplyFailure,
-                 Diag::error(NextNest.message())
-                     .atStage(static_cast<unsigned>(I + 1))
-                     .inTemplate(T.steps()[I]->str()));
-        return R;
-      }
-      Applied = NextNest.take();
-    }
-    ErrorOr<LoopNest> NextNest = Step->apply(Applied);
-    if (overflowed())
-      return R;
-    if (!NextNest) {
-      R.reject(RK::ApplyFailure, Diag::error(NextNest.message())
-                                     .atStage(Stage)
-                                     .inTemplate(Step->str()));
-      return R;
-    }
-    Applied = NextNest.take();
-    AppliedThrough = Stage;
-    State = NestTypeState::fromNest(Applied);
-    CurDeps = Step->mapDependences(CurDeps);
-    if (overflowed())
-      return R;
-  }
-
-  // The uniform dependence test on the final mapped set.
-  R.FinalDeps = std::move(CurDeps);
-  for (const DepVector &V : R.FinalDeps.vectors()) {
-    if (V.canBeLexNegative()) {
-      R.reject(RK::LexNegative,
-               Diag::error("transformed dependence vector " + V.str() +
-                           " admits a lexicographically negative tuple"));
-      return R;
-    }
-  }
-  R.Legal = true;
-  return R;
-}
-
-LegalityResult IncrementalEngine::reference(const TransformSequence &T,
-                                            const LoopNest &Nest,
-                                            const DepSet &D, Mode M) {
-  return M == Mode::Full ? referenceFull(T, Nest, D)
-                         : referenceFast(T, Nest, D);
-}
-
-//===----------------------------------------------------------------------===//
-// The stage function: one stage of the walks above, on a PrefixState. A
-// surviving stage is saturation-free by construction (the guard check
-// after every operation rejects first), so only Overflow verdicts carry
-// Saturated.
+// The stage function: one stage of isLegal()'s walk (Mode::Full) or
+// isLegalFast()'s (Mode::Fast), on a PrefixState. A surviving stage is
+// saturation-free by construction (the guard check after every operation
+// rejects first), so only Overflow verdicts carry Saturated.
 //===----------------------------------------------------------------------===//
 
 StageOutcome legality::stepStage(const PrefixState &P,
@@ -483,21 +290,4 @@ void IncrementalEngine::clear() {
 IncrementalEngine &IncrementalEngine::global() {
   static IncrementalEngine *G = new IncrementalEngine();
   return *G;
-}
-
-//===----------------------------------------------------------------------===//
-// The whole-sequence entry points, thin shims over the global engine. The
-// declarations stay in transform/Sequence.h and transform/TypeState.h;
-// library callers without an engine of their own - witness certify/check,
-// the fuzz oracles, AutoPar's search leaves - share its prefix cache.
-//===----------------------------------------------------------------------===//
-
-LegalityResult irlt::isLegal(const TransformSequence &T, const LoopNest &Nest,
-                             const DepSet &D) {
-  return IncrementalEngine::global().check(T, Nest, D, Mode::Full);
-}
-
-LegalityResult irlt::isLegalFast(const TransformSequence &T,
-                                 const LoopNest &Nest, const DepSet &D) {
-  return IncrementalEngine::global().check(T, Nest, D, Mode::Fast);
 }

@@ -17,12 +17,13 @@
 /// extending a sequence by one stage pays only that stage's mapping cost
 /// instead of re-walking the whole chain. A stage is computed in one
 /// place, stepStage(), which builders run on a cache miss and the static
-/// analyzer runs uncached. The whole-sequence entry
-/// points isLegal() / isLegalFast() are thin shims over check() below;
-/// their verdicts - RejectKind, Diag provenance, rendered Reason, final
-/// mapped set - are byte-identical to the legacy walks, which are kept
-/// verbatim as reference() and pinned against check() by the
-/// IncrementalEquivalence property suite.
+/// analyzer runs uncached. Every engine on the library's paths has an
+/// owner: an api::Pipeline holds one, and a search uses the one its
+/// caller passes or builds its own for the call. The uncached
+/// whole-sequence walks, isLegal() and isLegalFast() (transform/), are
+/// the ground truth: check()'s verdicts - RejectKind, Diag provenance,
+/// rendered Reason, final mapped set - are byte-identical to theirs, which
+/// the IncrementalEquivalence property suite pins.
 ///
 /// Cache key discipline (the soundness core):
 ///
@@ -42,7 +43,7 @@
 ///    collide with a different root's, and a stage whose arithmetic
 ///    saturated produced a RejectKind::Overflow verdict through
 ///    saturating arithmetic - neither is ever inserted. Surviving states
-///    are saturation-free by construction (the legacy walk rejects a
+///    are saturation-free by construction (the uncached walk rejects a
 ///    stage the moment its guard trips, so only guard-clean states
 ///    survive a stage).
 ///
@@ -88,8 +89,7 @@ struct PrefixState {
   /// stage forces materialization.
   LoopNest Nest;
   /// Fast mode: the Section 4.3 type state after the prefix. (Full mode
-  /// recomputes the state from Nest per stage, exactly like the legacy
-  /// walk.)
+  /// recomputes the state from Nest per stage, exactly like isLegal().)
   NestTypeState Types;
   /// The dependence set mapped through the prefix.
   DepSet Deps;
@@ -126,8 +126,9 @@ class IncrementalEngine;
 /// or stepStage() on a miss) and reports whether it survived; failure()
 /// carries the structured stage rejection (RejectKind + Diag with stage
 /// index and template - the witness provenance); finish() runs the final
-/// lexicographic test and returns the whole-sequence verdict. The verdict surface is byte-identical to
-/// the legacy whole-sequence walk over the same stages.
+/// lexicographic test and returns the whole-sequence verdict. The verdict
+/// surface is byte-identical to the uncached whole-sequence walk over the
+/// same stages.
 ///
 /// A builder is a cheap value (a shared pointer into the engine's cache
 /// plus the as-written stage list); copying one forks the prefix, which
@@ -231,26 +232,18 @@ public:
                        Mode M = Mode::Full);
 
   /// The whole-sequence test through the prefix cache: open + extend per
-  /// stage + finish. This is what the isLegal()/isLegalFast() shims
-  /// call; byte-identical to reference() on every input.
+  /// stage + finish. Byte-identical on every input to isLegal() (Full)
+  /// or isLegalFast() (Fast), the uncached walks.
   LegalityResult check(const TransformSequence &T, const LoopNest &Nest,
                        const DepSet &D, Mode M);
-
-  /// The legacy whole-sequence walks, kept verbatim as the uncached
-  /// ground truth (and as the "legacy" series in BENCH_search.json). The
-  /// IncrementalEquivalence suite pins check() == reference() over the
-  /// fuzz corpus.
-  static LegalityResult reference(const TransformSequence &T,
-                                  const LoopNest &Nest, const DepSet &D,
-                                  Mode M);
 
   Stats stats() const;
   void clear();
 
-  /// The process-wide engine behind the isLegal()/isLegalFast() shims,
-  /// for library callers only (the fuzz oracles, witness::certify,
-  /// AutoPar, benchmarks). An api::Pipeline checks legality through its
-  /// own engine, bounded, cleared and counted with its other caches.
+  /// A process-wide engine that no library path reaches. It is kept only
+  /// because the request benchmark's harness (perfbench/harness/
+  /// InProcess.cpp and ServeProbe.cpp) still reads and clears it; the
+  /// benchmark change that drops those reads deletes it.
   static IncrementalEngine &global();
 
 private:

@@ -203,8 +203,9 @@ LeafEval finishState(const BeamState &St, const LoopNest &Nest, const DepSet &D,
   E.Submitted = true;
   // Leaves are re-confirmed with the *full* uniform legality test: the
   // fast path pruned on types only, and the lexicographic test never ran
-  // on intermediate stages. The caller's prefix-memoized engine
-  // (legality/IncrementalEngine.h) runs it, so leaves sharing a prefix -
+  // on intermediate stages. The search's prefix-memoized engine
+  // (legality/IncrementalEngine.h; the caller's, or one of its own for
+  // the call) runs it, so leaves sharing a prefix -
   // the common case in a beam, including across worker threads - pay
   // only the trailing Parallelize stage plus the final lexicographic
   // test.
@@ -440,4 +441,11 @@ irlt::search::searchTransformations(const LoopNest &Nest, const DepSet &D,
   if (!R.Top.empty())
     R.Best = R.Top.front();
   return R;
+}
+
+SearchResult
+irlt::search::searchTransformations(const LoopNest &Nest, const DepSet &D,
+                                    const SearchOptions &Opts) {
+  legality::IncrementalEngine Legality;
+  return searchTransformations(Nest, D, Opts, Legality);
 }

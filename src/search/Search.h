@@ -150,10 +150,14 @@ struct SearchResult {
 /// Searches for a legal transformation sequence of \p Nest (dependence
 /// set \p D) optimizing \p Opts.Obj. Never mutates the nest. Leaves are
 /// confirmed through \p Legality, whose prefix cache they fill.
-SearchResult searchTransformations(
-    const LoopNest &Nest, const DepSet &D, const SearchOptions &Opts = {},
-    legality::IncrementalEngine &Legality =
-        legality::IncrementalEngine::global());
+SearchResult searchTransformations(const LoopNest &Nest, const DepSet &D,
+                                   const SearchOptions &Opts,
+                                   legality::IncrementalEngine &Legality);
+
+/// The same search with a legality engine of its own, which lives for
+/// this call only: repeated calls share no cache.
+SearchResult searchTransformations(const LoopNest &Nest, const DepSet &D,
+                                   const SearchOptions &Opts = {});
 
 } // namespace search
 } // namespace irlt

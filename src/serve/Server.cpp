@@ -81,8 +81,6 @@ struct Server::Impl {
     // EO.MaxLineBytes keeps the engine's 1 MiB line bound: under the
     // default frame bound, so both the oversized_line record and the
     // frame reject stay reachable.
-    EO.EnableCache = Opts.EnableCache;
-    EO.CacheCapacity = Opts.CacheCapacity;
     EO.Faults = Opts.Faults;
     EO.ToolName = "irlt-serve";
     EO.CollectNestKeys = !Opts.PersistPath.empty();

@@ -7,7 +7,7 @@
 /// \file
 /// Exact integer helpers used throughout the framework: floor/ceil division
 /// (division semantics in generated code follow Fortran-style flooring, see
-/// DESIGN.md), gcd/lcm, sign, and checked multiplication.
+/// DESIGN.md), gcd, sign, and checked multiplication.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -206,29 +206,6 @@ inline int64_t gcd(int64_t A, int64_t B) {
     return INT64_MAX;
   }
   return static_cast<int64_t>(X);
-}
-
-/// Least common multiple of the absolute values; lcm(0, x) == 0.
-inline int64_t lcm(int64_t A, int64_t B) {
-  if (A == 0 || B == 0)
-    return 0;
-  int64_t G = gcd(A, B);
-  return std::abs(A / G * B);
-}
-
-/// Extended gcd: returns g = gcd(A, B) and Bezout coefficients X, Y with
-/// A*X + B*Y == g. Used by the exact SIV dependence test.
-inline int64_t extendedGcd(int64_t A, int64_t B, int64_t &X, int64_t &Y) {
-  if (B == 0) {
-    X = (A < 0) ? -1 : 1;
-    Y = 0;
-    return std::abs(A);
-  }
-  int64_t X1, Y1;
-  int64_t G = extendedGcd(B, A % B, X1, Y1);
-  X = Y1;
-  Y = X1 - (A / B) * Y1;
-  return G;
 }
 
 } // namespace irlt

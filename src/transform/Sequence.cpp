@@ -181,6 +181,84 @@ ErrorOr<LoopNest> irlt::applySequence(const TransformSequence &T,
   return Cur;
 }
 
-// isLegal() is defined in src/legality/IncrementalEngine.cpp as a shim
-// over the prefix-memoized engine; the legacy stage-by-stage walk lives
-// there verbatim as IncrementalEngine::reference(Mode::Full).
+// The uniform legality test as one uncached walk. legality::stepStage()
+// runs one stage exactly as this loop does - same operation order, same
+// Diag strings, same stage attribution - and the IncrementalEquivalence
+// suite holds the prefix engine to this walk, so a change to either side
+// must be made to both.
+LegalityResult irlt::isLegal(const TransformSequence &T, const LoopNest &Nest,
+                             const DepSet &D) {
+  LegalityResult R;
+  using RK = LegalityResult::RejectKind;
+
+  // Part (b): loop-bounds preconditions, stage by stage. Each stage's
+  // preconditions are evaluated against the nest produced by the previous
+  // stages, so the bounds pipeline runs alongside; the dependence set is
+  // threaded along for the anchor-dependence side condition (see
+  // checkAnchorDependence). Coefficient overflow at any stage degrades to
+  // a clean Overflow rejection rather than UB.
+  LoopNest Cur = Nest;
+  DepSet CurDeps = D;
+  unsigned Stage = 0;
+  for (const TemplateRef &Step : T.steps()) {
+    ++Stage;
+    OverflowGuard Guard;
+    auto overflowed = [&]() {
+      if (!Guard.triggered())
+        return false;
+      R.reject(RK::Overflow,
+               Diag::error("coefficient arithmetic overflows the int64 "
+                           "range (bounds overflow)")
+                   .atStage(Stage)
+                   .inTemplate(Step->name()));
+      return true;
+    };
+    std::string E = Step->checkPreconditions(Cur);
+    if (overflowed())
+      return R;
+    if (!E.empty()) {
+      R.reject(RK::BoundsPrecondition,
+               Diag::error("bounds precondition violated: " + E)
+                   .atStage(Stage)
+                   .inTemplate(Step->name()));
+      return R;
+    }
+    E = checkAnchorDependence(*Step, NestTypeState::fromNest(Cur), CurDeps);
+    if (overflowed())
+      return R;
+    if (!E.empty()) {
+      R.reject(RK::DependencePrecondition,
+               Diag::error("dependence precondition violated: " + E)
+                   .atStage(Stage)
+                   .inTemplate(Step->name()));
+      return R;
+    }
+    ErrorOr<LoopNest> Next = Step->apply(Cur);
+    if (overflowed())
+      return R;
+    if (!Next) {
+      R.reject(RK::ApplyFailure, Diag::error(Next.message())
+                                     .atStage(Stage)
+                                     .inTemplate(Step->str()));
+      return R;
+    }
+    Cur = Next.take();
+    CurDeps = Step->mapDependences(CurDeps);
+    if (overflowed())
+      return R;
+  }
+
+  // Part (a): the dependence test on the *final* mapped set only -
+  // intermediate sets may be lexicographically negative (Section 3.2).
+  R.FinalDeps = std::move(CurDeps);
+  for (const DepVector &V : R.FinalDeps.vectors()) {
+    if (V.canBeLexNegative()) {
+      R.reject(RK::LexNegative,
+               Diag::error("transformed dependence vector " + V.str() +
+                           " admits a lexicographically negative tuple"));
+      return R;
+    }
+  }
+  R.Legal = true;
+  return R;
+}

@@ -112,12 +112,10 @@ const char *rejectKindName(LegalityResult::RejectKind K);
 /// through every stage and reject when the final set admits a
 /// lexicographically negative tuple - intermediate stages need not be
 /// legal; (b) check each stage's loop-bounds preconditions in order.
-/// A shim over the prefix-memoized engine (legality/IncrementalEngine.h):
-/// repeated prefixes hit a process-wide cache, and the verdict is
-/// byte-identical to the legacy whole-sequence walk (kept as
-/// legality::IncrementalEngine::reference). Callers building sequences
-/// one stage at a time should prefer legality::SequenceBuilder, which
-/// pays only the last stage's cost per extension.
+/// One uncached walk over the whole sequence, touching no cache. Callers
+/// that check many sequences sharing prefixes own a prefix-memoized
+/// engine instead (legality/IncrementalEngine.h; api::Pipeline holds
+/// one), whose verdicts are byte-identical to this walk's.
 LegalityResult isLegal(const TransformSequence &T, const LoopNest &Nest,
                        const DepSet &D);
 

@@ -845,7 +845,107 @@ MaybeState irlt::mapTypes(const TransformTemplate &T,
   return std::nullopt;
 }
 
-// isLegalFast() is defined in src/legality/IncrementalEngine.cpp as a
-// shim over the prefix-memoized engine; the legacy walk (anchor-first
-// order, lazy Applied/AppliedThrough materialization) lives there
-// verbatim as IncrementalEngine::reference(Mode::Fast).
+// The Section 4.3 fast walk, uncached: anchor-first order, lazy
+// Applied/AppliedThrough materialization. legality::stepStage(Mode::Fast)
+// runs one stage exactly as this loop does, and the IncrementalEquivalence
+// suite holds the prefix engine to it, so a change to either side must be
+// made to both.
+LegalityResult irlt::isLegalFast(const TransformSequence &T,
+                                 const LoopNest &Nest, const DepSet &D) {
+  LegalityResult R;
+  using RK = LegalityResult::RejectKind;
+  NestTypeState State = NestTypeState::fromNest(Nest);
+
+  // Lazy fallback materialization for extension templates: Applied tracks
+  // the concrete nest up to (but excluding) step NextToApply.
+  LoopNest Applied = Nest;
+  size_t AppliedThrough = 0;
+
+  DepSet CurDeps = D;
+  unsigned Stage = 0;
+  for (const TemplateRef &Step : T.steps()) {
+    ++Stage;
+    OverflowGuard Guard;
+    auto overflowed = [&]() {
+      if (!Guard.triggered())
+        return false;
+      R.reject(RK::Overflow,
+               Diag::error("coefficient arithmetic overflows the int64 "
+                           "range (bounds overflow)")
+                   .atStage(Stage)
+                   .inTemplate(Step->name()));
+      return true;
+    };
+    std::string E = checkAnchorDependence(*Step, State, CurDeps);
+    if (overflowed())
+      return R;
+    if (!E.empty()) {
+      R.reject(RK::DependencePrecondition,
+               Diag::error("dependence precondition violated: " + E)
+                   .atStage(Stage)
+                   .inTemplate(Step->name()));
+      return R;
+    }
+    std::optional<ErrorOr<NestTypeState>> Next = mapTypes(*Step, State);
+    if (overflowed())
+      return R;
+    if (Next) {
+      if (!*Next) {
+        R.reject(RK::BoundsPrecondition,
+                 Diag::error("bounds precondition violated: " +
+                             Next->message())
+                     .atStage(Stage)
+                     .inTemplate(Step->name()));
+        return R;
+      }
+      State = Next->take();
+      CurDeps = Step->mapDependences(CurDeps);
+      if (overflowed())
+        return R;
+      continue;
+    }
+    // No type rule: materialize the concrete nest up to this stage and
+    // apply the step for real.
+    for (size_t I = AppliedThrough; I + 1 < Stage; ++I) {
+      ErrorOr<LoopNest> NextNest = T.steps()[I]->apply(Applied);
+      if (overflowed())
+        return R;
+      if (!NextNest) {
+        R.reject(RK::ApplyFailure,
+                 Diag::error(NextNest.message())
+                     .atStage(static_cast<unsigned>(I + 1))
+                     .inTemplate(T.steps()[I]->str()));
+        return R;
+      }
+      Applied = NextNest.take();
+    }
+    ErrorOr<LoopNest> NextNest = Step->apply(Applied);
+    if (overflowed())
+      return R;
+    if (!NextNest) {
+      R.reject(RK::ApplyFailure, Diag::error(NextNest.message())
+                                     .atStage(Stage)
+                                     .inTemplate(Step->str()));
+      return R;
+    }
+    Applied = NextNest.take();
+    AppliedThrough = Stage;
+    State = NestTypeState::fromNest(Applied);
+    CurDeps = Step->mapDependences(CurDeps);
+    if (overflowed())
+      return R;
+  }
+
+  // The uniform dependence test on the final mapped set.
+  R.FinalDeps = std::move(CurDeps);
+  for (const DepVector &V : R.FinalDeps.vectors()) {
+    if (V.canBeLexNegative()) {
+      R.reject(RK::LexNegative,
+               Diag::error("transformed dependence vector " + V.str() +
+                           " admits a lexicographically negative tuple"));
+      return R;
+    }
+  }
+  R.Legal = true;
+  return R;
+}

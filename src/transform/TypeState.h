@@ -140,8 +140,9 @@ std::string checkAnchorDependence(const TransformTemplate &T,
 /// type rule) plus the anchor-dependence condition, then the
 /// lexicographic test on the final mapped dependence set. Equivalent in
 /// verdict to isLegal() on the supported corpus; the test suite asserts
-/// agreement. A shim over the prefix-memoized engine
-/// (legality/IncrementalEngine.h), cached under Mode::Fast keys.
+/// agreement. One uncached walk, like isLegal(); the prefix-memoized
+/// engine (legality/IncrementalEngine.h) runs it stage by stage in
+/// Mode::Fast.
 LegalityResult isLegalFast(const TransformSequence &T, const LoopNest &Nest,
                            const DepSet &D);
 

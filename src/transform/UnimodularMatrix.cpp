@@ -105,7 +105,9 @@ int64_t UnimodularMatrix::determinant() const {
       }
     Prev = At(K, K);
   }
-  return SignFlip * At(N - 1, N - 1);
+  // A row swap negates the last pivot, which overflows when it is
+  // INT64_MIN (the determinant is then 2^63).
+  return mulChecked(SignFlip, At(N - 1, N - 1));
 }
 
 UnimodularMatrix UnimodularMatrix::operator*(const UnimodularMatrix &O) const {

@@ -62,9 +62,13 @@ public:
   /// Exact determinant via Bareiss fraction-free elimination.
   int64_t determinant() const;
 
-  /// True iff |det| == 1 (all entries are integers by construction and
-  /// the matrix is square by construction - property 3 of footnote 1).
-  bool isUnimodular() const { return std::abs(determinant()) == 1; }
+  /// True iff det is 1 or -1 (all entries are integers by construction
+  /// and the matrix is square by construction - property 3 of footnote
+  /// 1). Compares instead of taking |det|, which INT64_MIN overflows.
+  bool isUnimodular() const {
+    int64_t D = determinant();
+    return D == 1 || D == -1;
+  }
 
   /// Matrix product (this * O): applying O first, then this.
   UnimodularMatrix operator*(const UnimodularMatrix &O) const;

@@ -120,9 +120,9 @@ Certificate irlt::witness::certify(const TransformSequence &Seq,
                                    const LoopNest &Nest, const DepSet &D,
                                    const WitnessOptions &Opts) {
   Certificate C;
-  // The shimmed isLegal() (prefix-memoized engine) by design: the
-  // certificate's verdict fields must be byte-identical to whatever
-  // every other caller of the uniform test observes, warm or cold.
+  // The uncached walk of the uniform test: the certificate's verdict
+  // fields are byte-identical to what every caller of the test observes,
+  // through a prefix engine or not, and certifying touches no cache.
   LegalityResult L = isLegal(Seq, Nest, D);
   C.Accepted = L.Legal;
   C.Kind = L.Kind;

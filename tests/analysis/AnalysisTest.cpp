@@ -241,9 +241,9 @@ TEST(Analyze, FirstErrorMatchesLegalityVerdictOnFuzzCorpus) {
 }
 
 TEST(Analyze, LeavesTheLegalityCacheUntouched) {
-  // The analyzer steps the legality stage function directly, never the
-  // engine, so the fuzz oracle's analyzer walk stays an uncached
-  // counterpart of the cached isLegal().
+  // The analyzer steps the legality stage function directly, never an
+  // engine, so it touches no cache - neither the process-wide engine the
+  // benchmark harness still reads nor any other.
   LoopNest N = nest(Triangular);
   DepSet D = analyzeDependences(N);
   legality::IncrementalEngine &G = legality::IncrementalEngine::global();

@@ -228,6 +228,21 @@ TEST(Pipeline, CacheCapacityBoundsTheLegalityEngine) {
   EXPECT_EQ(S.LegalityInserts - S.LegalityEvictions, S.LegalityEntries);
 }
 
+TEST(Pipeline, DefaultCapacityBoundsTheDependenceCache) {
+  // CacheCapacity 0 bounds the dependence cache at the legality engine's
+  // 4,096-entry default, so a default Pipeline stops growing with the
+  // number of distinct nests it analyzes.
+  Pipeline P;
+  for (int K = 1; K <= 4097; ++K) {
+    std::string Src =
+        "do i = 1, n\n  a(i) = a(i - " + std::to_string(K) + ")\nenddo\n";
+    P.dependences(load(P, Src.c_str()));
+  }
+  CacheStats S = P.cacheStats();
+  EXPECT_EQ(S.DepEntries, 4096u);
+  EXPECT_EQ(S.DepEvictions, 1u);
+}
+
 TEST(Pipeline, CacheOffRecordsNoLegalityLookups) {
   PipelineOptions Off;
   Off.EnableCache = false;

@@ -9,8 +9,8 @@
 /// extend() verdicts and witness provenance, sticky failure, prefix
 /// forking, cache counter reconciliation, the saturation-is-uncacheable
 /// rule, and eviction transparency. Every verdict is held against
-/// IncrementalEngine::reference() - the legacy whole-sequence walk kept
-/// verbatim - on all comparable fields.
+/// isLegal() or isLegalFast() - the uncached whole-sequence walks - on
+/// all comparable fields.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +63,7 @@ TEST(SequenceBuilder, ExtendLegalStepAndFinish) {
   EXPECT_EQ(B.outputLoops(), 2u);
 
   TransformSequence S = TransformSequence::of({makeInterchange(2, 0, 1)});
-  expectSameVerdict(B.finish(), IncrementalEngine::reference(S, N, D,
-                                                             Mode::Full),
-                    "interchange finish");
+  expectSameVerdict(B.finish(), isLegal(S, N, D), "interchange finish");
   EXPECT_TRUE(B.finish().Legal);
 }
 
@@ -86,8 +84,7 @@ TEST(SequenceBuilder, FinishRejectsLexNegativeFinalSet) {
   EXPECT_EQ(R.Kind, LegalityResult::RejectKind::LexNegative);
 
   TransformSequence S = TransformSequence::of({makeInterchange(2, 0, 1)});
-  expectSameVerdict(R, IncrementalEngine::reference(S, N, D, Mode::Full),
-                    "lex-negative finish");
+  expectSameVerdict(R, isLegal(S, N, D), "lex-negative finish");
 }
 
 TEST(SequenceBuilder, StageRejectionCarriesProvenanceAndIsSticky) {
@@ -105,8 +102,7 @@ TEST(SequenceBuilder, StageRejectionCarriesProvenanceAndIsSticky) {
       << B.failure().Reason;
 
   TransformSequence S = TransformSequence::of({makeCoalesce(2, 1, 2)});
-  expectSameVerdict(B.failure(),
-                    IncrementalEngine::reference(S, N, DepSet(), Mode::Full),
+  expectSameVerdict(B.failure(), isLegal(S, N, DepSet()),
                     "coalesce stage rejection");
 
   // Sticky: further extension refuses, finish() returns the rejection.
@@ -165,8 +161,7 @@ TEST(SequenceBuilder, CacheCountersReconcileAndHitsAreByteIdentical) {
   EXPECT_EQ(St.Hits, 2u);
   EXPECT_EQ(St.Misses, 2u);
   expectSameVerdict(Warm, Cold, "warm whole-sequence check");
-  expectSameVerdict(Warm, IncrementalEngine::reference(S, N, D, Mode::Full),
-                    "warm check vs reference");
+  expectSameVerdict(Warm, isLegal(S, N, D), "warm check vs isLegal");
 }
 
 TEST(SequenceBuilder, CachedStageRejectionIsByteIdentical) {
@@ -195,7 +190,7 @@ TEST(SequenceBuilder, SaturatedStagesAreNeverCached) {
       {makeUnimodular(2, UnimodularMatrix::skew(2, 0, 1, F)),
        makeUnimodular(2, UnimodularMatrix::skew(2, 1, 0, F))});
 
-  LegalityResult Ref = IncrementalEngine::reference(S, N, D, Mode::Full);
+  LegalityResult Ref = isLegal(S, N, D);
   ASSERT_FALSE(Ref.Legal);
   ASSERT_EQ(Ref.Kind, LegalityResult::RejectKind::Overflow) << Ref.Reason;
 
@@ -228,8 +223,7 @@ TEST(SequenceBuilder, EvictionIsTransparent) {
   IncrementalEngine::Stats St = Eng.stats();
   EXPECT_GT(St.Evictions, 0u);
   EXPECT_EQ(St.Entries, St.Inserts - St.Evictions);
-  expectSameVerdict(First, IncrementalEngine::reference(S, N, D, Mode::Full),
-                    "bounded-cache first run");
+  expectSameVerdict(First, isLegal(S, N, D), "bounded-cache first run");
   expectSameVerdict(Second, First, "bounded-cache second run");
 }
 
@@ -244,13 +238,12 @@ TEST(SequenceBuilder, FastModeMaterializesCustomStages) {
        makeInterchange(3, 1, 2)});
   IncrementalEngine Eng;
 
-  LegalityResult Ref = IncrementalEngine::reference(S, N, D, Mode::Fast);
+  LegalityResult Ref = isLegalFast(S, N, D);
   expectSameVerdict(Eng.check(S, N, D, Mode::Fast), Ref, "fast cold");
   expectSameVerdict(Eng.check(S, N, D, Mode::Fast), Ref, "fast warm");
   // Fast and Full agree here end to end (not true in general; true for
   // this sequence).
-  expectSameVerdict(Eng.check(S, N, D, Mode::Full),
-                    IncrementalEngine::reference(S, N, D, Mode::Full),
+  expectSameVerdict(Eng.check(S, N, D, Mode::Full), isLegal(S, N, D),
                     "full mode on the same chain");
 }
 

@@ -8,7 +8,9 @@
 /// The search determinism contract under the per-prefix threading model:
 /// the result - winner, top-k order, every score, and every stat counter
 /// - is byte-identical for any thread count, including counts beyond the
-/// hardware (which are clamped). Plus the thread-scaling assertion that
+/// hardware (which are clamped), and whichever legality engine confirms
+/// the leaves: the one a search builds for itself, a fresh one, or one
+/// an earlier search warmed. Plus the thread-scaling assertion that
 /// used to be inverted in BM_SearchMatmulDepth2Threads: on a machine
 /// with >= 4 cores, a 4-worker depth-2 search must not be slower than
 /// the 1-worker run. The timing test skips loudly on single-core
@@ -20,6 +22,7 @@
 
 #include "dependence/DepAnalysis.h"
 #include "ir/Parser.h"
+#include "legality/IncrementalEngine.h"
 #include "search/Search.h"
 
 #include <gtest/gtest.h>
@@ -100,6 +103,24 @@ TEST(SearchThreadScaling, OversubscribedThreadCountIsClampedNotSlower) {
                    "threads=64");
 }
 
+TEST(SearchThreadScaling, OwnEngineMatchesFreshAndWarmSharedEngines) {
+  // A search given no engine builds one for the call; passing a fresh
+  // engine or a warm one (whose cached prefixes the leaves then hit)
+  // must not change a byte of the result.
+  LoopNest N = matmul();
+  DepSet D = analyzeDependences(N);
+  SearchResult Own = searchTransformations(N, D, depth2Options(4));
+  ASSERT_FALSE(Own.Top.empty());
+  legality::IncrementalEngine Fresh, Shared;
+  expectSameResult(searchTransformations(N, D, depth2Options(4), Fresh), Own,
+                   "fresh engine");
+  (void)searchTransformations(N, D, depth2Options(1), Shared);
+  uint64_t WarmHits = Shared.stats().Hits;
+  expectSameResult(searchTransformations(N, D, depth2Options(4), Shared), Own,
+                   "warm shared engine");
+  EXPECT_GT(Shared.stats().Hits, WarmHits);
+}
+
 bool underSanitizer() {
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   return true;
@@ -138,9 +159,6 @@ TEST(SearchThreadScaling, FourThreadsNoSlowerThanOneOnMultiCore) {
     }
     return Best;
   };
-  // Warm the process-global legality prefix cache once so both timed
-  // configurations see the same cache state.
-  (void)searchTransformations(N, D, depth2Options(1));
   double T1 = timeIt(1);
   double T4 = timeIt(4);
   // Min-of-3 on >=4 real cores: the per-prefix work units must at the

@@ -46,24 +46,8 @@ TEST(MathUtils, Gcd) {
   EXPECT_EQ(gcd(17, 13), 1);
 }
 
-TEST(MathUtils, Lcm) {
-  EXPECT_EQ(lcm(4, 6), 12);
-  EXPECT_EQ(lcm(0, 6), 0);
-  EXPECT_EQ(lcm(-4, 6), 12);
-}
-
 TEST(MathUtils, Sign) {
   EXPECT_EQ(sign(5), 1);
   EXPECT_EQ(sign(-5), -1);
   EXPECT_EQ(sign(0), 0);
-}
-
-TEST(MathUtils, ExtendedGcdBezout) {
-  for (int64_t A : {12, -12, 35, 0, 7})
-    for (int64_t B : {18, 5, -14, 9}) {
-      int64_t X, Y;
-      int64_t G = extendedGcd(A, B, X, Y);
-      EXPECT_EQ(G, gcd(A, B));
-      EXPECT_EQ(A * X + B * Y, G) << A << " " << B;
-    }
 }

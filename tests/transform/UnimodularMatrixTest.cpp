@@ -2,6 +2,8 @@
 
 #include "transform/UnimodularMatrix.h"
 
+#include "support/MathUtils.h"
+
 #include <gtest/gtest.h>
 
 using namespace irlt;
@@ -38,6 +40,24 @@ TEST(UnimodularMatrix, DeterminantBareiss) {
   // A pivot-swap case (zero on the diagonal).
   UnimodularMatrix Swap(3, {0, 1, 0, 1, 0, 0, 0, 0, 1});
   EXPECT_EQ(Swap.determinant(), -1);
+}
+
+TEST(UnimodularMatrix, Int64MinDiagonalIsNotUnimodular) {
+  // det = INT64_MIN is exact; |det| is not representable.
+  OverflowGuard Guard;
+  UnimodularMatrix M(2, {INT64_MIN, 0, 0, 1});
+  EXPECT_FALSE(M.isUnimodular());
+  EXPECT_EQ(M.determinant(), INT64_MIN);
+  EXPECT_FALSE(Guard.triggered());
+}
+
+TEST(UnimodularMatrix, Int64MinPivotAfterRowSwapIsNotUnimodular) {
+  // The row swap negates the INT64_MIN pivot: det = 2^63 overflows, and
+  // the guard records it.
+  OverflowGuard Guard;
+  UnimodularMatrix M(2, {0, 1, INT64_MIN, 0});
+  EXPECT_FALSE(M.isUnimodular());
+  EXPECT_TRUE(Guard.triggered());
 }
 
 TEST(UnimodularMatrix, MultiplicationComposesGenerators) {

@@ -18,8 +18,9 @@
 ///   irlt-batch [FILE] [options]        (FILE defaults to stdin)
 ///     --jobs N            worker threads (default 1)
 ///     --no-cache          disable the shared memoization caches
-///     --cache-cap N       bound each cache to N entries (LRU eviction;
-///                         a memory knob, never a correctness one)
+///     --cache-cap N       bound each cache to N entries (default 4096;
+///                         LRU eviction, a memory knob, never a
+///                         correctness one)
 ///     --max-line-bytes N  per-request line bound (default 1 MiB);
 ///                         longer lines degrade to a structured
 ///                         "oversized_line" error record

@@ -17,7 +17,8 @@
 ///   irlt-serve (--socket PATH | --port N) [options]
 ///     --jobs N           worker threads (default 1)
 ///     --no-cache         disable the shared memoization caches
-///     --cache-cap N      bound each cache to N entries (LRU)
+///     --cache-cap N      bound each cache to N entries (LRU; default
+///                        and 0: 4096)
 ///     --queue-cap N      admission-queue bound (default 64); a full
 ///                        queue sheds with a structured "overloaded"
 ///                        record
