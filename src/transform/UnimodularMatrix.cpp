@@ -151,8 +151,10 @@ UnimodularMatrix UnimodularMatrix::inverse() const {
       }
       int64_t Cof = Minor.determinant();
       if ((I + J) % 2 != 0)
-        Cof = -Cof;
-      Inv.set(J, I, Cof * Det); // division by det == multiplication (+-1)
+        Cof = negChecked(Cof);
+      // Division by det == multiplication (+-1); a saturated det is not
+      // +-1, so this is checked like the cofactor's sign.
+      Inv.set(J, I, mulChecked(Cof, Det));
     }
   return Inv;
 }

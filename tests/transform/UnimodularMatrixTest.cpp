@@ -60,6 +60,15 @@ TEST(UnimodularMatrix, Int64MinPivotAfterRowSwapIsNotUnimodular) {
   EXPECT_TRUE(Guard.triggered());
 }
 
+TEST(UnimodularMatrix, InverseOfInt64MinSkewRecordsOverflow) {
+  // A skew by INT64_MIN is unimodular, but its inverse needs -INT64_MIN.
+  OverflowGuard Guard;
+  UnimodularMatrix M = UnimodularMatrix::skew(2, 0, 1, INT64_MIN);
+  ASSERT_TRUE(M.isUnimodular());
+  M.inverse();
+  EXPECT_TRUE(Guard.triggered());
+}
+
 TEST(UnimodularMatrix, MultiplicationComposesGenerators) {
   // Figure 1: skew then interchange = [[1, 1], [1, 0]].
   UnimodularMatrix Skew = UnimodularMatrix::skew(2, 0, 1, 1);
