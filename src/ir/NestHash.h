@@ -5,9 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A canonical structural fingerprint for loop nests, used as the
-/// memoization key of the api::Pipeline caches (dependence analysis and
-/// legality verdicts) and the batch engine built on them.
+/// A canonical structural fingerprint for loop nests. It keys the
+/// api::Pipeline dependence cache, the serve journal (which persists it
+/// and drops an entry whose recomputed key differs) and the front's
+/// shard routing (FNV-1a of the key), so its bytes are a compatibility
+/// contract, pinned by tests/data/ir/nest_keys.golden. The legality
+/// engine does not use it: its verdicts name the nest's own variables,
+/// so it keys on the nest as written (LoopNest::structuralHash()).
 ///
 /// Two nests get the same fingerprint when they are structurally
 /// equivalent up to
@@ -30,6 +34,9 @@
 /// collision between semantically different nests cannot happen short of
 /// a 64-bit hash collision - and cache consumers that key on the full
 /// fingerprint string (as api::Pipeline does) are immune even to that.
+/// Coefficient arithmetic follows the OverflowGuard policy: a key built
+/// through saturated arithmetic trips the guard, and callers treat it as
+/// no key at all.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,12 +58,6 @@ std::string canonicalNestKey(const LoopNest &Nest);
 /// FNV-1a (64-bit) of canonicalNestKey(). A compact digest for metrics
 /// and logs; cache keys should prefer the full string.
 uint64_t structuralNestHash(const LoopNest &Nest);
-
-/// Canonicalizes one expression under an index-variable renaming; exposed
-/// for unit tests. \p Rename maps variable names to their positional
-/// replacements; unmapped names are kept verbatim.
-std::string canonicalExprKey(const ExprRef &E,
-                             const std::map<std::string, std::string> &Rename);
 
 } // namespace irlt
 

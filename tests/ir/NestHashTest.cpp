@@ -4,19 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The fingerprint keys the facade's memoization caches (api/Pipeline.h),
+// The fingerprint keys the facade's dependence cache (api/Pipeline.h),
 // so the bar is asymmetric: a missed merge costs a redundant analysis
-// run, but a *false* merge silently returns the wrong dependence set or
-// legality verdict. The equality cases prove renames and term reordering
-// merge; the distinctness cases - including every pairwise combination
-// of the StridedSoundnessRegressionTest nests - prove structurally
-// different nests never collide.
+// run, but a *false* merge silently returns the wrong dependence set.
+// The equality cases prove renames and term reordering merge; the
+// distinctness cases - including every pairwise combination of the
+// StridedSoundnessRegressionTest nests, and a coefficient merge that
+// overflows - prove structurally different nests never collide.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/NestHash.h"
 
+#include "api/Pipeline.h"
 #include "ir/Parser.h"
+#include "support/MathUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -176,4 +178,40 @@ TEST(NestHash, CanonicalExprKeyMergesCommutativeProducts) {
   ASSERT_TRUE(static_cast<bool>(A));
   ASSERT_TRUE(static_cast<bool>(B));
   EXPECT_EQ(canonicalNestKey(*A), canonicalNestKey(*B));
+}
+
+TEST(NestHash, MergedCoefficientOverflowTripsTheGuard) {
+  // i * n and n * i are separate terms of the linear form but one
+  // canonical atom, so their coefficients merge in the key: 2^62 + 2^62
+  // overflows, which must trip the guard like the linear form's own
+  // arithmetic does, making the nest uncacheable.
+  const char *Merged = "do i = 1, n\n"
+                       "  c(i) = i * n * 4611686018427387904 + "
+                       "n * i * 4611686018427387904\n"
+                       "enddo\n";
+  ErrorOr<LoopNest> N = parseLoopNest(Merged);
+  ASSERT_TRUE(static_cast<bool>(N)) << N.message();
+  OverflowGuard Guard;
+  canonicalNestKey(*N);
+  EXPECT_TRUE(Guard.triggered());
+}
+
+TEST(NestHash, MergedCoefficientOverflowNeverSharesADependenceEntry) {
+  // Wrapped instead of saturated, the merged coefficient above would be
+  // -2^63, and the key would equal that of a nest whose single
+  // coefficient is -2^63: the second nest would be answered from the
+  // first one's dependence entry.
+  api::Pipeline P;
+  ErrorOr<LoopNest> Merged = P.loadNest(
+      "do i = 1, n\n"
+      "  c(i) = i * n * 4611686018427387904 + n * i * 4611686018427387904\n"
+      "enddo\n");
+  ErrorOr<LoopNest> Single = P.loadNest(
+      "do i = 1, n\n  c(i) = i * n * (-4611686018427387904 * 2)\nenddo\n");
+  ASSERT_TRUE(static_cast<bool>(Merged)) << Merged.message();
+  ASSERT_TRUE(static_cast<bool>(Single)) << Single.message();
+  std::shared_ptr<const DepSet> First = P.dependences(*Merged);
+  std::shared_ptr<const DepSet> Second = P.dependences(*Single);
+  EXPECT_NE(First.get(), Second.get());
+  EXPECT_EQ(P.cacheStats().DepHits, 0u);
 }
