@@ -15,23 +15,25 @@
 /// of hand-wiring parse -> dependence analysis -> legality -> codegen ->
 /// validate themselves.
 ///
-/// A Pipeline owns two concurrency-safe memoization caches keyed by
-/// canonical structural fingerprints (ir/NestHash.h):
+/// A Pipeline owns two concurrency-safe memoization caches:
 ///
-///   - dependence-analysis results per nest, and
-///   - legality prefix states per (nest fingerprint, dependence set,
+///   - dependence-analysis results per nest, keyed by the canonical
+///     structural fingerprint (ir/NestHash.h), and
+///   - legality prefix states per (nest as written, dependence set,
 ///     stages consumed), in its own legality::IncrementalEngine;
 ///
 /// repeated nests across a corpus - the common case in fuzz corpora and
 /// search ladders - hit the cache instead of re-running Fourier-Motzkin.
 /// All cache lookups are sound by construction: the fingerprint
-/// canonicalizes exactly the structure the dependence analyzer and the
-/// legality test observe (alpha-renamed index variables, reordered
-/// bound terms), templates address loops positionally, and verdicts are
-/// deterministic - so a hit returns byte-identical results to a miss.
-/// (Legality prefixes are keyed on the stages as written, not on the
-/// reduced() form: legality is not reduction-invariant - Figure 1's
-/// skew+interchange is rejected staged but legal merged.) Coefficient
+/// canonicalizes exactly the structure the dependence analyzer observes
+/// (alpha-renamed index variables, reordered bound terms), and
+/// dependence sets carry no variable names, so renamed nests share one;
+/// legality verdicts do name the nest's variables, so the engine keys on
+/// the nest as written and compares it on every root hit. Analyses and
+/// verdicts are deterministic, so a hit returns byte-identical results
+/// to a miss. (Legality prefixes are keyed on the stages as written, not
+/// on the reduced() form: legality is not reduction-invariant - Figure
+/// 1's skew+interchange is rejected staged but legal merged.) Coefficient
 /// overflow during analysis degrades to a reported flag / a structured
 /// RejectKind::Overflow verdict, never an assertion, and the flag is
 /// cached with the entry so hits and misses are indistinguishable.

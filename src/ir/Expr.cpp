@@ -127,34 +127,32 @@ bool Expr::equals(const Expr &O) const {
 uint64_t Expr::structuralHash() const {
   // Order-sensitive combination, matching equals(), which compares
   // operands position by position.
-  auto Mix = [](uint64_t H, uint64_t V) {
-    H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
-    return H;
-  };
-  uint64_t H = Mix(0, static_cast<uint64_t>(TheKind));
+  uint64_t H = hashMix(0, static_cast<uint64_t>(TheKind));
   switch (TheKind) {
   case Kind::IntConst:
-    return Mix(H, static_cast<uint64_t>(cast<IntConstExpr>(this)->value()));
+    return hashMix(H,
+                   static_cast<uint64_t>(cast<IntConstExpr>(this)->value()));
   case Kind::Var:
-    return Mix(H, std::hash<std::string>()(cast<VarExpr>(this)->name()));
+    return hashMix(H, std::hash<std::string>()(cast<VarExpr>(this)->name()));
   case Kind::Add:
   case Kind::Sub:
   case Kind::Mul:
   case Kind::Div:
   case Kind::Mod: {
     const auto *B = cast<BinaryExpr>(this);
-    return Mix(Mix(H, B->lhs()->structuralHash()), B->rhs()->structuralHash());
+    return hashMix(hashMix(H, B->lhs()->structuralHash()),
+                   B->rhs()->structuralHash());
   }
   case Kind::Min:
   case Kind::Max:
     for (const ExprRef &Op : cast<MinMaxExpr>(this)->operands())
-      H = Mix(H, Op->structuralHash());
+      H = hashMix(H, Op->structuralHash());
     return H;
   case Kind::Call: {
     const auto *C = cast<CallExpr>(this);
-    H = Mix(H, std::hash<std::string>()(C->callee()));
+    H = hashMix(H, std::hash<std::string>()(C->callee()));
     for (const ExprRef &Arg : C->args())
-      H = Mix(H, Arg->structuralHash());
+      H = hashMix(H, Arg->structuralHash());
     return H;
   }
   }

@@ -44,6 +44,12 @@ class Expr;
 /// Shared reference to an immutable expression node.
 using ExprRef = std::shared_ptr<const Expr>;
 
+/// Order-sensitive combination of two 64-bit hashes: the mix behind
+/// Expr::structuralHash() and LoopNest::structuralHash().
+inline uint64_t hashMix(uint64_t H, uint64_t V) {
+  return H ^ (V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2));
+}
+
 /// Callback environment for evaluating expressions: provides variable
 /// bindings and implementations for opaque calls (e.g. `colstr`, `sqrt`).
 class ExprEnv {

@@ -10,6 +10,7 @@
 #include "support/Printing.h"
 
 #include <cassert>
+#include <functional>
 
 using namespace irlt;
 
@@ -30,6 +31,79 @@ int LoopNest::loopIndexOf(const std::string &Var) const {
     if (Loops[I].IndexVar == Var)
       return static_cast<int>(I);
   return -1;
+}
+
+namespace {
+
+bool sameExprs(const std::vector<ExprRef> &A, const std::vector<ExprRef> &B) {
+  if (A.size() != B.size())
+    return false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (!A[I]->equals(*B[I]))
+      return false;
+  return true;
+}
+
+uint64_t hashName(uint64_t H, const std::string &Name) {
+  return hashMix(H, std::hash<std::string>()(Name));
+}
+
+} // namespace
+
+bool LoopNest::equals(const LoopNest &O) const {
+  if (Loops.size() != O.Loops.size() || Inits.size() != O.Inits.size() ||
+      Body.size() != O.Body.size() || BodyIndexVars != O.BodyIndexVars ||
+      ArrayNames != O.ArrayNames)
+    return false;
+  for (size_t K = 0; K < Loops.size(); ++K) {
+    const Loop &A = Loops[K], &B = O.Loops[K];
+    if (A.IndexVar != B.IndexVar || A.Kind != B.Kind ||
+        !A.Lower->equals(*B.Lower) || !A.Upper->equals(*B.Upper) ||
+        !A.Step->equals(*B.Step))
+      return false;
+  }
+  for (size_t K = 0; K < Inits.size(); ++K)
+    if (Inits[K].Var != O.Inits[K].Var ||
+        !Inits[K].Value->equals(*O.Inits[K].Value))
+      return false;
+  for (size_t K = 0; K < Body.size(); ++K) {
+    const AssignStmt &A = Body[K], &B = O.Body[K];
+    if (A.LHS.Array != B.LHS.Array ||
+        !sameExprs(A.LHS.Subscripts, B.LHS.Subscripts) ||
+        !A.RHS->equals(*B.RHS))
+      return false;
+  }
+  return true;
+}
+
+uint64_t LoopNest::structuralHash() const {
+  // Counts are mixed in so that fields of different lengths cannot shift
+  // into each other.
+  uint64_t H = hashMix(0, Loops.size());
+  for (const Loop &L : Loops) {
+    H = hashName(H, L.IndexVar);
+    H = hashMix(H, static_cast<uint64_t>(L.Kind));
+    H = hashMix(H, L.Lower->structuralHash());
+    H = hashMix(H, L.Upper->structuralHash());
+    H = hashMix(H, L.Step->structuralHash());
+  }
+  H = hashMix(H, Inits.size());
+  for (const InitStmt &I : Inits)
+    H = hashMix(hashName(H, I.Var), I.Value->structuralHash());
+  H = hashMix(H, Body.size());
+  for (const AssignStmt &S : Body) {
+    H = hashMix(hashName(H, S.LHS.Array), S.LHS.Subscripts.size());
+    for (const ExprRef &E : S.LHS.Subscripts)
+      H = hashMix(H, E->structuralHash());
+    H = hashMix(H, S.RHS->structuralHash());
+  }
+  H = hashMix(H, ArrayNames.size());
+  for (const std::string &A : ArrayNames)
+    H = hashName(H, A);
+  H = hashMix(H, BodyIndexVars.size());
+  for (const std::string &V : BodyIndexVars)
+    H = hashName(H, V);
+  return H;
 }
 
 void irlt::collectArrayReads(const ExprRef &E,

@@ -124,6 +124,17 @@ public:
   /// \returns an empty string if valid, else a description of the problem.
   std::string validate() const;
 
+  /// Structural equality of the nest as written: index-variable names,
+  /// loop kinds, bounds, steps, inits, body, array names and body index
+  /// variables all compare exactly. Unlike ir/NestHash.h's canonical key,
+  /// nothing is renamed or reordered.
+  bool equals(const LoopNest &O) const;
+
+  /// A hash of everything equals() compares: nests that equals() relates
+  /// hash equal. For in-process keys only (it hashes names with
+  /// std::hash).
+  uint64_t structuralHash() const;
+
   /// Renders the nest in the loop language (parsable by Parser).
   std::string str() const;
 

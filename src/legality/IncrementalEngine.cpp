@@ -6,9 +6,9 @@
 
 #include "legality/IncrementalEngine.h"
 
-#include "ir/NestHash.h"
 #include "support/MathUtils.h"
 
+#include <cstring>
 #include <utility>
 
 using namespace irlt;
@@ -109,6 +109,52 @@ StageOutcome legality::stepStage(const PrefixState &P,
 }
 
 //===----------------------------------------------------------------------===//
+// Cache keys (the discipline is in the header). Root keys start with
+// '\x01' and stage keys with '\x02', so the two never meet.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t depSetHash(const DepSet &D) {
+  uint64_t H = hashMix(0, D.size());
+  for (const DepVector &V : D.vectors()) {
+    H = hashMix(H, V.size());
+    for (const DepElem &El : V.elems())
+      H = El.isDistance()
+              ? hashMix(hashMix(H, 1), static_cast<uint64_t>(El.dist()))
+              : hashMix(hashMix(H, 2), El.signMask());
+  }
+  return H;
+}
+
+std::string rootKey(const LoopNest &Nest, const DepSet &D, Mode M) {
+  const uint64_t H = hashMix(Nest.structuralHash(), depSetHash(D));
+  std::string Key(1 + sizeof(H) + 1, '\x01');
+  std::memcpy(&Key[1], &H, sizeof(H));
+  Key.back() = M == Mode::Fast ? 'F' : 'L';
+  return Key;
+}
+
+std::string stageKey(uint64_t Parent, const TransformTemplate &Step) {
+  std::string Key(1 + sizeof(Parent), '\x02');
+  std::memcpy(&Key[1], &Parent, sizeof(Parent));
+  Key += Step.str();
+  return Key;
+}
+
+std::shared_ptr<const PrefixState> rootState(const LoopNest &Nest,
+                                             const DepSet &D, Mode M) {
+  auto Root = std::make_shared<PrefixState>();
+  Root->Nest = Nest;
+  Root->Deps = D;
+  if (M == Mode::Fast)
+    Root->Types = NestTypeState::fromNest(Nest);
+  return Root;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
 // SequenceBuilder
 //===----------------------------------------------------------------------===//
 
@@ -137,27 +183,23 @@ bool SequenceBuilder::extend(const TemplateRef &Step) {
     return false;
   Steps.push_back(Step);
 
-  std::string NewKey;
+  std::string Key;
   if (Cacheable) {
-    // Key extension mirrors the Pipeline's rule: built under a guard so a
-    // rendering that saturates (it should not, but templates are
+    // The parent entry's id plus the stage as written, built under a guard
+    // so a rendering that saturates (it should not, but templates are
     // extensible) makes the rest of this builder uncacheable.
     OverflowGuard Guard;
-    NewKey = Key + '\x02' + Step->str();
-    if (Guard.triggered()) {
-      Cacheable = false;
-      NewKey.clear();
-    }
+    Key = stageKey(Parent, *Step);
+    Cacheable = !Guard.triggered();
   }
 
-  const bool UseCache = Cacheable && E && E->Opts.EnableCache;
-  if (UseCache) {
+  if (Cacheable) {
     if (std::shared_ptr<const IncrementalEngine::Entry> Hit =
-            E->lookup(NewKey)) {
+            E->lookup(Key)) {
       E->Hits.fetch_add(1, std::memory_order_relaxed);
       if (Hit->State) {
         Cur = Hit->State;
-        Key = std::move(NewKey);
+        Parent = Hit->Id;
         return true;
       }
       Failed = true;
@@ -173,25 +215,20 @@ bool SequenceBuilder::extend(const TemplateRef &Step) {
 
   if (C.Next) {
     auto NS = std::make_shared<const PrefixState>(std::move(*C.Next));
-    if (UseCache && !C.Saturated) {
-      IncrementalEngine::Entry En;
-      En.State = NS;
+    if (Cacheable && !C.Saturated) {
       std::shared_ptr<const IncrementalEngine::Entry> Stored =
-          E->insert(NewKey, std::move(En));
+          E->insert(Key, NS, nullptr);
       NS = Stored->State; // insert-race: first entry wins
+      Parent = Stored->Id;
     }
     Cur = std::move(NS);
-    Key = std::move(NewKey);
     return true;
   }
 
   Failed = true;
   FailR = std::move(C.Fail);
-  if (UseCache && !C.Saturated) {
-    IncrementalEngine::Entry En;
-    En.Fail = std::make_shared<const LegalityResult>(FailR);
-    E->insert(NewKey, std::move(En));
-  }
+  if (Cacheable && !C.Saturated)
+    E->insert(Key, nullptr, std::make_shared<const LegalityResult>(FailR));
   return false;
 }
 
@@ -226,10 +263,21 @@ IncrementalEngine::lookup(const std::string &Key) {
 }
 
 std::shared_ptr<const IncrementalEngine::Entry>
-IncrementalEngine::insert(const std::string &Key, Entry E) {
-  auto Val = std::make_shared<const Entry>(std::move(E));
+IncrementalEngine::insert(const std::string &Key,
+                          std::shared_ptr<const PrefixState> State,
+                          std::shared_ptr<const LegalityResult> Fail) {
+  auto Val = std::make_shared<Entry>();
+  Val->Id = NextId.fetch_add(1, std::memory_order_relaxed);
+  Val->State = std::move(State);
+  Val->Fail = std::move(Fail);
+  std::shared_ptr<const Entry> Evicted; // released after the lock
   std::lock_guard<std::mutex> Lock(Mu);
-  return Map.insert(Key, std::move(Val));
+  std::shared_ptr<const Entry> Stored = Map.insert(Key, Val, &Evicted);
+  if (Stored == Val && Val->isRoot())
+    ++RootInserts;
+  if (Evicted && Evicted->isRoot())
+    ++RootEvictions;
+  return Stored;
 }
 
 SequenceBuilder IncrementalEngine::open(const LoopNest &Nest, const DepSet &D,
@@ -237,26 +285,25 @@ SequenceBuilder IncrementalEngine::open(const LoopNest &Nest, const DepSet &D,
   SequenceBuilder B;
   B.E = this;
   B.M = M;
-  auto Root = std::make_shared<PrefixState>();
-  Root->Nest = Nest;
-  Root->Deps = D;
-  if (M == Mode::Fast)
-    Root->Types = NestTypeState::fromNest(Nest);
-  B.Cur = std::move(Root);
-  // Root key: nest fingerprint + rendered dependence set + mode. A
-  // saturated fingerprint could collide with a different root's, so such
-  // a root is simply not cacheable (the api::Pipeline rule).
-  OverflowGuard Guard;
-  B.Key = canonicalNestKey(Nest);
-  B.Key += '\x01';
-  B.Key += D.str();
-  B.Key += '\x01';
-  B.Key += M == Mode::Fast ? 'F' : 'L';
-  B.Cacheable = !Guard.triggered();
-  if (!B.Cacheable) {
+  std::shared_ptr<const PrefixState> Own;
+  if (Opts.EnableCache) {
+    const std::string Key = rootKey(Nest, D, M);
+    std::shared_ptr<const Entry> Root = lookup(Key);
+    if (!Root) {
+      Own = rootState(Nest, D, M);
+      Root = insert(Key, Own, nullptr);
+    }
+    // The key is a hash: only an equal root may be shared.
+    if (Root->State == Own ||
+        (Root->State->Nest.equals(Nest) && Root->State->Deps == D)) {
+      B.Cur = Root->State;
+      B.Parent = Root->Id;
+      B.Cacheable = true;
+      return B;
+    }
     Uncacheable.fetch_add(1, std::memory_order_relaxed);
-    B.Key.clear();
   }
+  B.Cur = Own ? std::move(Own) : rootState(Nest, D, M);
   return B;
 }
 
@@ -276,15 +323,16 @@ IncrementalEngine::Stats IncrementalEngine::stats() const {
   S.Misses = Misses.load(std::memory_order_relaxed);
   S.Uncacheable = Uncacheable.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(Mu);
-  S.Inserts = Map.inserts();
-  S.Evictions = Map.evictions();
-  S.Entries = Map.size();
+  S.Inserts = Map.inserts() - RootInserts;
+  S.Evictions = Map.evictions() - RootEvictions;
+  S.Entries = Map.size() - (RootInserts - RootEvictions);
   return S;
 }
 
 void IncrementalEngine::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Map.clear();
+  RootEvictions = RootInserts;
 }
 
 IncrementalEngine &IncrementalEngine::global() {

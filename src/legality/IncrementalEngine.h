@@ -27,25 +27,31 @@
 ///
 /// Cache key discipline (the soundness core):
 ///
-///  - The root key is canonicalNestKey(Nest) + the rendered dependence
-///    set + the mode. The dependence set is part of the key because the
-///    same nest shape is routinely checked against synthetic sets (the
-///    fuzzer, the benchmarks); fingerprinting the nest alone would merge
-///    them.
-///  - Prefixes are keyed on the stages *as written* (each stage's
-///    str()), never on the reduced() form: legality is not
-///    reduction-invariant (Figure 1's skew+interchange is rejected
-///    staged but legal merged), so reduced() remains the search
-///    frontier's dedup key and nothing more. Spellings that render to
-///    the same stages still share entries.
-///  - Saturation is uncacheable, mirroring the api::Pipeline fingerprint
-///    rule: a root whose fingerprint saturated the OverflowGuard could
-///    collide with a different root's, and a stage whose arithmetic
-///    saturated produced a RejectKind::Overflow verdict through
-///    saturating arithmetic - neither is ever inserted. Surviving states
-///    are saturation-free by construction (the uncached walk rejects a
-///    stage the moment its guard trips, so only guard-clean states
-///    survive a stage).
+///  - A root is the nest *as written* (index-variable names, loop kinds,
+///    bounds, inits, body, array names, body index variables), the
+///    dependence set and the mode. Cached states and verdicts carry the
+///    nest's own variable names (a rejection reason reads `type(u_2, x)`),
+///    so an alpha-renamed nest is a different root. The dependence set is
+///    part of the root because the same nest is routinely checked against
+///    synthetic sets (the fuzzer, the benchmarks). A root's key is a
+///    64-bit hash (LoopNest::structuralHash() and the set's), and a lookup
+///    counts as found only once the stored root's nest and set compare
+///    equal to the query; a different root under the same hash leaves the
+///    builder uncacheable, and it never adopts or overwrites that entry.
+///  - A stage's key is its parent entry's id plus the stage *as written*
+///    (its str()), never the reduced() form: legality is not
+///    reduction-invariant (Figure 1's skew+interchange is rejected staged
+///    but legal merged), so reduced() remains the search frontier's dedup
+///    key and nothing more. Entry ids are never reused, so a key names one
+///    prefix of one root, even once its parent has been evicted, and its
+///    length does not grow with the prefix. Spellings that render to the
+///    same stages still share entries.
+///  - Saturation is uncacheable: a stage whose arithmetic saturated
+///    produced a RejectKind::Overflow verdict through saturating
+///    arithmetic and is never inserted. Surviving states are
+///    saturation-free by construction (the uncached walk rejects a stage
+///    the moment its guard trips, so only guard-clean states survive a
+///    stage).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -176,8 +182,11 @@ private:
   Mode M = Mode::Full;
   std::shared_ptr<const PrefixState> Cur;
   std::vector<TemplateRef> Steps;
-  /// Root key + '\x02' + stage renderings; empty when not Cacheable.
-  std::string Key;
+  /// The id of the cache entry Cur came from: the next stage's key starts
+  /// with it. Only meaningful when Cacheable.
+  uint64_t Parent = 0;
+  /// The engine's cache is on and this builder's root is the one cached
+  /// under its key.
   bool Cacheable = false;
   bool Failed = false;
   LegalityResult FailR;
@@ -198,7 +207,9 @@ struct EngineOptions {
   bool EnableCache = true;
 };
 
-/// Cache counters. Reconciliation invariants (pinned by tests):
+/// Cache counters. They count prefix entries, one lookup per stage
+/// walked; the root entries that share the cache's bound are not counted.
+/// Reconciliation invariants (pinned by tests):
 ///   Hits + Misses == Lookups; Inserts - Evictions == Entries.
 struct EngineStats {
   uint64_t Hits = 0;
@@ -206,8 +217,9 @@ struct EngineStats {
   uint64_t Inserts = 0;
   uint64_t Evictions = 0;
   uint64_t Entries = 0;
-  /// Extensions whose result was computed but not inserted because the
-  /// root fingerprint or the stage arithmetic saturated.
+  /// Stage outcomes computed but not inserted because their arithmetic
+  /// saturated, plus builders left uncacheable because a different root
+  /// was cached under their root's hash.
   uint64_t Uncacheable = 0;
 };
 
@@ -226,8 +238,9 @@ public:
   IncrementalEngine(const IncrementalEngine &) = delete;
   IncrementalEngine &operator=(const IncrementalEngine &) = delete;
 
-  /// Opens a builder rooted at (\p Nest, \p D). Cheap: the root state is
-  /// built directly, only extensions consult the cache.
+  /// Opens a builder rooted at (\p Nest, \p D). Cheap: a hash of the
+  /// nest and the set finds the cached root, whose state the builder
+  /// shares; a new root is cached for the extensions to key on.
   SequenceBuilder open(const LoopNest &Nest, const DepSet &D,
                        Mode M = Mode::Full);
 
@@ -249,19 +262,30 @@ public:
 private:
   friend class SequenceBuilder;
 
-  /// A cache slot: exactly one of State (the prefix survived) or Fail
-  /// (the stage rejected) is set.
+  /// A cache slot. A root entry holds the root's state (Len 0); a stage
+  /// entry holds exactly one of State (the prefix survived) or Fail (the
+  /// stage rejected). Id starts the keys of the entry's extensions.
   struct Entry {
+    uint64_t Id = 0;
     std::shared_ptr<const PrefixState> State;
     std::shared_ptr<const LegalityResult> Fail;
+
+    bool isRoot() const { return State && State->Len == 0; }
   };
 
   std::shared_ptr<const Entry> lookup(const std::string &Key);
-  std::shared_ptr<const Entry> insert(const std::string &Key, Entry E);
+  /// First wins: returns the entry already under \p Key, if any.
+  std::shared_ptr<const Entry>
+  insert(const std::string &Key, std::shared_ptr<const PrefixState> State,
+         std::shared_ptr<const LegalityResult> Fail);
 
   Options Opts;
   mutable std::mutex Mu;
   LruMap<Entry> Map;
+  /// Root entries inserted into and evicted from Map (under Mu); stats()
+  /// leaves them out.
+  uint64_t RootInserts = 0, RootEvictions = 0;
+  std::atomic<uint64_t> NextId{0};
   std::atomic<uint64_t> Hits{0}, Misses{0}, Uncacheable{0};
 };
 

@@ -56,9 +56,10 @@ public:
   /// Inserts \p Val unless \p Key is already present (in which case the
   /// existing entry is refreshed and returned, matching the insert-race
   /// semantics of the Pipeline caches). May evict the least-recently-used
-  /// entry when over capacity.
+  /// entry when over capacity; \p Evicted, when given, receives it.
   std::shared_ptr<const V> insert(const std::string &Key,
-                                  std::shared_ptr<const V> Val) {
+                                  std::shared_ptr<const V> Val,
+                                  std::shared_ptr<const V> *Evicted = nullptr) {
     auto It = Index.find(Key);
     if (It != Index.end()) {
       Order.splice(Order.begin(), Order, It->second);
@@ -68,6 +69,8 @@ public:
     Index.emplace(Key, Order.begin());
     ++Inserts;
     if (Cap && Order.size() > Cap) {
+      if (Evicted)
+        *Evicted = std::move(Order.back().second);
       Index.erase(Order.back().first);
       Order.pop_back();
       ++Evictions;

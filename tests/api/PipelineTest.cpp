@@ -113,6 +113,38 @@ TEST(Pipeline, DependenceCacheHitsOnRepeatAndRename) {
   EXPECT_GT(S3.depHitRate(), 0.5);
 }
 
+TEST(Pipeline, RenamedTwinGetsItsOwnLegalityRecord) {
+  // The dependence cache merges alpha-renamed nests (above), but cached
+  // legality states and verdicts carry the nest's own variable names: the
+  // renamed twin, checked after the original through one Pipeline, must
+  // get the record a cache-off Pipeline gives it, naming x, not i.
+  const char *Twins[] = {
+      "do i = 1, n\n  do j = 1, i\n    a(i, j) = a(i, j) + 1\n"
+      "  enddo\nenddo\n",
+      "do x = 1, n\n  do y = 1, x\n    a(x, y) = a(x, y) + 1\n"
+      "  enddo\nenddo\n"};
+  Pipeline Cached;
+  Pipeline Uncached(PipelineOptions{false, {}, 0});
+  LegalityResult LastFull;
+  for (const char *Src : Twins) {
+    LoopNest Nest = load(Cached, Src);
+    TransformSequence Seq = script(Cached, "interchange 1 2", 2);
+    for (bool Fast : {false, true}) {
+      LegalityResult Got = Fast ? Cached.checkLegalityFast(Seq, Nest)
+                                : Cached.checkLegality(Seq, Nest);
+      LegalityResult Want = Fast ? Uncached.checkLegalityFast(Seq, Nest)
+                                 : Uncached.checkLegality(Seq, Nest);
+      expectSameVerdict(Got, Want, Src);
+      EXPECT_EQ(Got.Why.str(), Want.Why.str()) << Src;
+      if (!Fast)
+        LastFull = Got;
+    }
+  }
+  EXPECT_FALSE(LastFull.Legal);
+  EXPECT_NE(LastFull.Reason.find("type(u_2, x)"), std::string::npos)
+      << LastFull.Reason;
+}
+
 TEST(Pipeline, LegalityCacheKeysOnReducedSequence) {
   Pipeline P;
   LoopNest Nest = load(P, Matmul);

@@ -83,4 +83,30 @@ TEST(LoopNest, NestedArraySubscriptReadsAreCollected) {
   EXPECT_EQ(Reads[1].str(), "idx(i)");
 }
 
+TEST(LoopNest, EqualsComparesTheNestAsWritten) {
+  auto parse = [](const char *Src) {
+    ErrorOr<LoopNest> N = parseLoopNest(Src);
+    EXPECT_TRUE(static_cast<bool>(N)) << N.message();
+    return *N;
+  };
+  LoopNest A = stencil(), B = stencil();
+  EXPECT_TRUE(A.equals(B));
+  EXPECT_EQ(A.structuralHash(), B.structuralHash());
+  // Unlike the canonical fingerprint, renamed index variables, reordered
+  // terms and a changed loop kind all make a different nest.
+  const char *Variants[] = {
+      "do p = 2, n - 1\n  do q = 2, n - 1\n    a(p, q) = a(p - 1, q) + b(q)\n"
+      "    b(q) = a(p, q)\n  enddo\nenddo\n",
+      "do i = 2, n - 1\n  do j = 2, -1 + n\n    a(i, j) = a(i - 1, j) + b(j)\n"
+      "    b(j) = a(i, j)\n  enddo\nenddo\n",
+      "do i = 2, n - 1\n  pardo j = 2, n - 1\n"
+      "    a(i, j) = a(i - 1, j) + b(j)\n    b(j) = a(i, j)\n  enddo\nenddo\n",
+  };
+  for (const char *Src : Variants) {
+    LoopNest V = parse(Src);
+    EXPECT_FALSE(A.equals(V)) << Src;
+    EXPECT_NE(A.structuralHash(), V.structuralHash()) << Src;
+  }
+}
+
 } // namespace

@@ -227,6 +227,63 @@ TEST(SequenceBuilder, EvictionIsTransparent) {
   expectSameVerdict(Second, First, "bounded-cache second run");
 }
 
+/// The inverse of hashMix in its second argument: the V for which
+/// hashMix(H, V) == T.
+uint64_t unmix(uint64_t H, uint64_t T) {
+  return (T ^ H) - 0x9e3779b97f4a7c15ull - (H << 6) - (H >> 2);
+}
+
+TEST(SequenceBuilder, RootHashCollisionCachesNothing) {
+  // Root keys are 64-bit hashes. Build two nests that differ only in the
+  // inner upper bound, i + 0 against two constants solved (through
+  // Expr::structuralHash's recipe) for the same hash: interchange rejects
+  // the triangular one and accepts the rectangular one, so a builder that
+  // adopted the other root's entries would report the wrong verdict.
+  const ExprRef Tri = Expr::add(Expr::intConst(0), Expr::var("i"));
+  const uint64_t ConstSeed =
+      hashMix(0, static_cast<uint64_t>(Expr::Kind::IntConst));
+  const uint64_t AddSeed = hashMix(0, static_cast<uint64_t>(Expr::Kind::Add));
+  ExprRef Rect;
+  for (int64_t Q = 1; !Rect; ++Q) {
+    uint64_t Lhs =
+        hashMix(AddSeed, hashMix(ConstSeed, static_cast<uint64_t>(Q)));
+    auto R = static_cast<int64_t>(
+        unmix(ConstSeed, unmix(Lhs, Tri->structuralHash())));
+    int64_t Sum;
+    if (!__builtin_add_overflow(Q, R, &Sum))
+      Rect = Expr::add(Expr::intConst(Q), Expr::intConst(R));
+  }
+  LoopNest A = parse("do i = 1, n\n  do j = 1, n\n    a(i, j) = a(i, j) + 1\n"
+                     "  enddo\nenddo\n");
+  LoopNest B = A;
+  A.Loops[1].Upper = Tri;
+  B.Loops[1].Upper = Rect;
+  ASSERT_EQ(A.structuralHash(), B.structuralHash());
+  ASSERT_FALSE(A.equals(B));
+
+  TransformSequence S = TransformSequence::of({makeInterchange(2, 0, 1)});
+  DepSet D;
+  ASSERT_NE(isLegal(S, A, D).Legal, isLegal(S, B, D).Legal);
+  for (bool AFirst : {true, false}) {
+    const LoopNest &First = AFirst ? A : B, &Second = AFirst ? B : A;
+    const std::string What = AFirst ? "triangular first" : "rectangular first";
+    IncrementalEngine Eng;
+    expectSameVerdict(Eng.check(S, First, D, Mode::Full),
+                      isLegal(S, First, D), What + ": first root");
+    IncrementalEngine::Stats Before = Eng.stats();
+    expectSameVerdict(Eng.check(S, Second, D, Mode::Full),
+                      isLegal(S, Second, D), What + ": colliding root");
+    IncrementalEngine::Stats After = Eng.stats();
+    EXPECT_EQ(After.Hits + After.Misses, Before.Hits + Before.Misses) << What;
+    EXPECT_EQ(After.Inserts, Before.Inserts) << What;
+    EXPECT_EQ(After.Uncacheable, Before.Uncacheable + 1) << What;
+    // The first root's entries are untouched and still hit.
+    expectSameVerdict(Eng.check(S, First, D, Mode::Full),
+                      isLegal(S, First, D), What + ": first root again");
+    EXPECT_EQ(Eng.stats().Hits, After.Hits + 1) << What;
+  }
+}
+
 TEST(SequenceBuilder, FastModeMaterializesCustomStages) {
   // StripMine has no type rule, so Fast mode materializes the concrete
   // nest lazily - the path with the trickiest stage attribution.

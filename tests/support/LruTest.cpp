@@ -71,6 +71,16 @@ TEST(Lru, EvictedEntryStaysValidForHolders) {
   EXPECT_EQ(*Held, 7) << "shared_ptr keeps evicted values alive";
 }
 
+TEST(Lru, InsertHandsBackTheEvictedEntry) {
+  LruMap<int> M(1);
+  std::shared_ptr<const int> Evicted;
+  M.insert("a", val(7), &Evicted);
+  EXPECT_EQ(Evicted, nullptr) << "nothing evicted yet";
+  M.insert("b", val(8), &Evicted);
+  ASSERT_NE(Evicted, nullptr);
+  EXPECT_EQ(*Evicted, 7);
+}
+
 TEST(Lru, ReconciliationInvariantHoldsUnderMixedTraffic) {
   LruMap<int> M(5);
   // A deterministic access mix (the serve eviction tests pin the same
