@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -134,6 +135,27 @@ private:
               });
   }
 
+  /// \p Head, then the canonical operands in sorted order, each after a
+  /// space, then ')'.
+  void commutative(const char *Head, const ExprRef *Ops, size_t Count) {
+    Out += Head;
+    const size_t Scratch = Out.size(), First = Spans.size();
+    for (size_t K = 0; K < Count; ++K) {
+      size_t B = Out.size();
+      expr(Ops[K]);
+      Spans.push_back({B, Out.size() - B, 0});
+    }
+    sortSpans(First, /*ByCoef=*/false);
+    const size_t End = Out.size();
+    for (size_t I = First; I < Spans.size(); ++I) {
+      Out += ' ';
+      Out.append(Out, Spans[I].Begin, Spans[I].Len);
+    }
+    Spans.resize(First);
+    Out.erase(Scratch, End - Scratch);
+    Out += ')';
+  }
+
   /// Canonical rendering of an opaque (non-linear) node. Commutative
   /// operators sort their canonicalized operands; everything else keeps
   /// structural order.
@@ -149,21 +171,8 @@ private:
       // A non-constant product (a constant factor would have been folded
       // into the linear form). Multiplication commutes, so sort.
       const auto *B = cast<BinaryExpr>(&E);
-      Out += "(* ";
-      const size_t LB = Out.size();
-      expr(B->lhs());
-      const size_t RB = Out.size();
-      expr(B->rhs());
-      std::string_view L = std::string_view(Out).substr(LB, RB - LB);
-      std::string_view R = std::string_view(Out).substr(RB);
-      size_t Mid = RB;
-      if (R < L) {
-        Mid = LB + R.size();
-        std::rotate(Out.begin() + static_cast<std::ptrdiff_t>(LB),
-                    Out.begin() + static_cast<std::ptrdiff_t>(RB), Out.end());
-      }
-      Out.insert(Mid, 1, ' ');
-      Out += ')';
+      std::initializer_list<ExprRef> Ops = {B->lhs(), B->rhs()};
+      commutative("(*", Ops.begin(), Ops.size());
       return;
     }
     case Expr::Kind::Add:
@@ -188,23 +197,9 @@ private:
     case Expr::Kind::Max: {
       // min/max are commutative and associative; sorted operands make
       // min(n, m) and min(m, n) agree.
-      const auto *M = cast<MinMaxExpr>(&E);
-      Out += M->isMin() ? "(min" : "(max";
-      const size_t Scratch = Out.size(), First = Spans.size();
-      for (const ExprRef &O : M->operands()) {
-        size_t B = Out.size();
-        expr(O);
-        Spans.push_back({B, Out.size() - B, 0});
-      }
-      sortSpans(First, /*ByCoef=*/false);
-      const size_t End = Out.size();
-      for (size_t I = First; I < Spans.size(); ++I) {
-        Out += ' ';
-        Out.append(Out, Spans[I].Begin, Spans[I].Len);
-      }
-      Spans.resize(First);
-      Out.erase(Scratch, End - Scratch);
-      Out += ')';
+      const std::vector<ExprRef> &Ops = cast<MinMaxExpr>(&E)->operands();
+      commutative(E.kind() == Expr::Kind::Min ? "(min" : "(max", Ops.data(),
+                  Ops.size());
       return;
     }
     case Expr::Kind::Call: {

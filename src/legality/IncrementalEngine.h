@@ -195,12 +195,13 @@ private:
 /// Engine knobs (namespace scope: a nested aggregate cannot be a `= {}`
 /// default argument of its enclosing class under GCC 12).
 struct EngineOptions {
-  /// Prefix-entry bound; 0 = unbounded. Eviction recomputes on next
-  /// use to a byte-identical value - a memory knob, never correctness.
-  /// An entry holds a whole prefix state (about 2.7 KB for a 3-deep nest)
-  /// and an auto request inserts dozens, so the bound is what caps a
-  /// long-lived process: 4096 entries are about 11 MB. A working set of
-  /// more prefixes than that misses on every repeat (EXPERIMENTS.md).
+  /// Entry bound, root and prefix entries together; 0 = unbounded.
+  /// Eviction recomputes on next use to a byte-identical value - a memory
+  /// knob, never correctness. An entry holds a whole prefix state (about
+  /// 2.7 KB for a 3-deep nest) and an auto request inserts dozens, so the
+  /// bound is what caps a long-lived process: 4096 entries are about
+  /// 11 MB. A working set of more prefixes than that misses on every
+  /// repeat (EXPERIMENTS.md).
   size_t CacheCapacity = 1 << 12;
   /// Off turns every extend into a plain computation (the equivalence
   /// tests diff the two configurations).
