@@ -134,7 +134,7 @@ TEST(IncrementalEquivalence, RenamedTwinsMatchTheirOwnWalks) {
   IncrementalEngine Shared;
   fuzz::NestGenOptions NO;
   fuzz::ScriptGenOptions SO;
-  const unsigned Cases = 1000;
+  const unsigned Cases = 500;
   for (unsigned I = 0; I < Cases; ++I) {
     fuzz::Rng R(fuzz::mix64(0x2E7A3Eull ^ I));
     fuzz::NestSpec NS = fuzz::generateNest(R, NO);
