@@ -10,7 +10,8 @@
 /// front hashes it to pick a shard), so any change to its bytes is a
 /// compatibility break. Each line of tests/data/ir/nest_keys.golden holds,
 /// for one nest, whether the key's OverflowGuard tripped and
-/// structuralNestHash() (the FNV-1a of the key); a dozen lines also carry
+/// structuralNestHash() (the FNV-1a of the key); the fixed nests and the
+/// first transformed nests with min/max, div/mod and an init also carry
 /// the full key text. The corpus:
 ///  - 2,000 nests drawn the way perfbench's cold-script stream draws them
 ///    (fuzz::generateColdNest, the stream of benchmark seed 0);
