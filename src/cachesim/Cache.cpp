@@ -22,49 +22,13 @@ CacheSim::CacheSim(const CacheConfig &Config) : Config(Config) {
   Pow2 = isPow2(Config.LineBytes) && isPow2(NumSets);
   LineShift = static_cast<unsigned>(__builtin_ctzll(Config.LineBytes));
   SetShift = static_cast<unsigned>(__builtin_ctzll(NumSets));
-  Lines.resize(NumSets * Config.Associativity);
+  Tags.resize(NumSets * Config.Associativity);
   Fill.assign(NumSets, 0);
 }
 
 void CacheSim::reset() {
   Fill.assign(NumSets, 0);
-  Clock = Hits = Misses = 0;
-}
-
-bool CacheSim::access(uint64_t Addr) {
-  uint64_t LineAddr, SetIdx, Tag;
-  if (Pow2) {
-    LineAddr = Addr >> LineShift;
-    SetIdx = LineAddr & (NumSets - 1);
-    Tag = LineAddr >> SetShift;
-  } else {
-    LineAddr = Addr / Config.LineBytes;
-    SetIdx = LineAddr % NumSets;
-    Tag = LineAddr / NumSets;
-  }
-  ++Clock;
-  Line *S = &Lines[SetIdx * Config.Associativity];
-  unsigned N = Fill[SetIdx];
-  for (unsigned I = 0; I < N; ++I) {
-    if (S[I].Tag == Tag) {
-      S[I].LastUse = Clock;
-      ++Hits;
-      return true;
-    }
-  }
-  ++Misses;
-  if (N < Config.Associativity) {
-    S[N] = Line{Tag, Clock};
-    Fill[SetIdx] = N + 1;
-    return false;
-  }
-  // Evict the least recently used way.
-  unsigned Victim = 0;
-  for (unsigned I = 1; I < N; ++I)
-    if (S[I].LastUse < S[Victim].LastUse)
-      Victim = I;
-  S[Victim] = Line{Tag, Clock};
-  return false;
+  Hits = Misses = 0;
 }
 
 void ArrayLayout::declare(const std::string &Array, std::vector<int64_t> Lows,

@@ -38,13 +38,44 @@ struct CacheConfig {
   unsigned Associativity = 4;
 };
 
-/// Simple set-associative LRU cache.
+/// Simple set-associative LRU cache. Each set keeps its tags most
+/// recently used first, so a hit moves its tag to the front and a miss
+/// shifts the set down by one, dropping the least recently used tag.
 class CacheSim {
 public:
   explicit CacheSim(const CacheConfig &Config);
 
   /// Accesses one byte address; returns true on hit.
-  bool access(uint64_t Addr);
+  bool access(uint64_t Addr) {
+    uint64_t LineAddr, SetIdx, Tag;
+    if (Pow2) {
+      LineAddr = Addr >> LineShift;
+      SetIdx = LineAddr & (NumSets - 1);
+      Tag = LineAddr >> SetShift;
+    } else {
+      LineAddr = Addr / Config.LineBytes;
+      SetIdx = LineAddr % NumSets;
+      Tag = LineAddr / NumSets;
+    }
+    uint64_t *S = &Tags[SetIdx * Config.Associativity];
+    unsigned N = Fill[SetIdx];
+    for (unsigned I = 0; I < N; ++I) {
+      if (S[I] == Tag) {
+        for (; I > 0; --I)
+          S[I] = S[I - 1];
+        S[0] = Tag;
+        ++Hits;
+        return true;
+      }
+    }
+    ++Misses;
+    if (N < Config.Associativity)
+      Fill[SetIdx] = ++N;
+    for (unsigned I = N - 1; I > 0; --I)
+      S[I] = S[I - 1];
+    S[0] = Tag;
+    return false;
+  }
 
   uint64_t hits() const { return Hits; }
   uint64_t misses() const { return Misses; }
@@ -64,15 +95,10 @@ private:
   /// geometry), the set/tag split is shifts and a mask.
   bool Pow2 = false;
   unsigned LineShift = 0, SetShift = 0;
-  // Set S holds Fill[S] lines (tag, lastUse) at Lines[S * Associativity];
-  // a linear scan is fine at these associativities.
-  struct Line {
-    uint64_t Tag;
-    uint64_t LastUse;
-  };
-  std::vector<Line> Lines;
+  /// Set S holds Fill[S] tags at Tags[S * Associativity]; a linear scan
+  /// is fine at these associativities.
+  std::vector<uint64_t> Tags;
   std::vector<unsigned> Fill;
-  uint64_t Clock = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

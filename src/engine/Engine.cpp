@@ -54,6 +54,15 @@ uint64_t nsSince(Clock::time_point T0) {
           .count());
 }
 
+/// \p W's text without the buffer's doubling slack: a record outlives
+/// its request in the in-order result buffer, in serve replies and in
+/// perfbench's kept auto records.
+std::string rightSized(json::JsonWriter &W) {
+  std::string Record = W.take();
+  Record.shrink_to_fit();
+  return Record;
+}
+
 /// Times one stage and records the sample.
 template <typename F>
 auto timed(StageSampler &S, Stage St, F &&Fn) -> decltype(Fn()) {
@@ -125,7 +134,7 @@ std::string engine::makeErrorRecord(const std::string &Tool,
     writeDiags(W, *Diags);
   W.endObject();
   W.endObject();
-  return W.take();
+  return rightSized(W);
 }
 
 RequestOutcome engine::processRequest(api::Pipeline &P,
@@ -385,7 +394,7 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
   }
 
   W.endObject();
-  Out.Record = W.take();
+  Out.Record = rightSized(W);
   return Out;
 }
 

@@ -76,9 +76,11 @@ bool isBuiltinFn(const std::string &Name) {
 // The access stream: the transformed nest compiled once into slot-resolved
 // code, then run twice - pass 1 records each array's subscript extents,
 // pass 2 feeds each access's column-major address to the cache simulator.
+// Compilation and the affine analysis read a tree form; every expression
+// runs as a flat postfix program emitted from it before each pass.
 //===----------------------------------------------------------------------===//
 
-/// Operations of compiled expression code.
+/// Operations of compiled code.
 enum class Op : uint8_t {
   Const,  ///< C
   Load,   ///< the variable in slot A, bound wherever this node runs
@@ -95,9 +97,14 @@ enum class Op : uint8_t {
   Abs,
   Sgn,
   Fault, ///< runs its children, then records a fault (unbound callee)
+  // Program-only operations.
+  Write,    ///< pops the subscripts, then the value stored at site A
+  Set,      ///< pops the value of slot A (an init)
+  ReadRun,  ///< array read at site A's running address
+  WriteRun, ///< pops the value stored at site A's running address
 };
 
-/// One node of compiled code, in prefix order: a node's first child
+/// One node of the tree form, in prefix order: a node's first child
 /// follows it, and End (one past its subtree) is its next sibling.
 struct Node {
   Op K = Op::Const;
@@ -107,12 +114,26 @@ struct Node {
   int64_t C = 0;
 };
 
+/// One instruction of a flat program, in postfix order: it pops its
+/// operands off the value stack and pushes its result. Min, Max and
+/// Fault pop C operands; Read and Write pop C subscripts.
+struct Instr {
+  Op K = Op::Const;
+  bool HasParam = false;
+  uint32_t A = 0;
+  int64_t C = 0;
+};
+
+/// A program: the instructions [Begin, End) of AccessStream::Prog.
+struct Span {
+  uint32_t Begin = 0, End = 0;
+};
+
 /// One array reference of the nest: a read inside an expression or the
 /// write of a statement.
 struct Site {
   uint32_t Array = 0; ///< array id, in name order
-  /// Offset of its subscripts' values in Scratch and of their pass-1
-  /// ranges in Ranges.
+  /// Offset of its subscripts' range ids in RangeOf.
   uint32_t First = 0;
   std::vector<uint32_t> Subs; ///< root node of each subscript
   // Pass 1: whether it ran.
@@ -125,6 +146,9 @@ struct Site {
   uint64_t LinearBase = 0;
   std::vector<std::pair<uint32_t, uint64_t>> Terms;
   std::vector<std::pair<uint32_t, uint64_t>> TreeDims;
+  /// How far the address moves per unit of the innermost index, the
+  /// inits that read it included (swept nests only).
+  uint64_t Move = 0;
 };
 
 /// The values one subscript expression took in pass 1.
@@ -144,6 +168,12 @@ struct InitCode {
 struct StmtCode {
   uint32_t Rhs = 0;
   uint32_t Write = 0; ///< site
+};
+
+/// A body site's address in a swept activation, and its per-iteration
+/// step.
+struct RunningAddress {
+  uint64_t Addr = 0, Delta = 0;
 };
 
 /// Hash of a value-store key (array id, then subscripts).
@@ -182,21 +212,47 @@ private:
                    const std::set<std::string> &Bound);
   bool affine(uint32_t Root, uint64_t Scale, uint64_t &C0,
               std::map<uint32_t, uint64_t> &Coef) const;
+  bool reads(uint32_t Root, const std::vector<uint8_t> &SlotSet) const;
+  void orderRanges();
   bool layOut();
+
+  //===--- Programs -------------------------------------------------------===
+  uint32_t here() const { return static_cast<uint32_t>(Prog.size()); }
+  /// Replaces Prog with the programs pass \p P runs.
+  void emitPrograms(Pass P);
+  /// Appends node \p I's program; with \p Running, its reads take running
+  /// addresses.
+  void emit(uint32_t I, Pass P, bool Running = false);
+  void emitAccess(uint32_t SiteId, Op K, Pass P, bool Running);
+  void emitInits(Pass P);
+  void emitStmts(Pass P, bool Running);
 
   //===--- Execution ------------------------------------------------------===
   template <Pass P> void runLoop(unsigned Level);
   template <Pass P> void runBody();
-  bool sweepInnermost(const LoopCode &L, int64_t Lo, int64_t Hi, int64_t St);
-  void noteRanges();
-  template <Pass P> int64_t eval(uint32_t I);
-  template <Pass P> int64_t *evalSubs(Site &S);
+  template <Pass P>
+  bool sweep(uint32_t Slot, int64_t Lo, int64_t Hi, int64_t St);
+  /// Runs \p S from an empty stack; returns the top of the stack.
+  template <Pass P> int64_t *run(Span S);
+  void setSlot(uint32_t Slot, int64_t V) {
+    Vals[Slot] = V;
+    IsSet[Slot] = 1;
+  }
+  void noteRanges(Span S);
   /// Performs one access at \p S - noting its subscripts (pass 1) or
-  /// simulating its address (pass 2) - and returns the cell's value.
-  template <Pass P> int64_t &access(Site &S);
+  /// simulating its address (pass 2) - and returns the cell.
+  template <Pass P> int64_t &cell(Site &S, const int64_t *Subs);
   void noteExtents(Site &S, const int64_t *Subs);
   uint64_t addressOf(const Site &S, const int64_t *Subs) const;
-  template <Pass P> uint64_t linearAddress(Site &S);
+  uint64_t linearPart(const Site &S) const;
+  /// The running address of site \p S, simulated, then advanced.
+  uint64_t advance(uint32_t S) {
+    RunningAddress &R = Run[S];
+    uint64_t Addr = R.Addr;
+    R.Addr += R.Delta;
+    Sim.access(Addr);
+    return Addr;
+  }
   std::vector<int64_t> &keyOf(const Site &S, const int64_t *Subs);
   bool stopped() const { return OverBudget || Guard.triggered(); }
 
@@ -204,25 +260,47 @@ private:
   const OverflowGuard &Guard;
   const std::set<std::string> &ArrayNames;
   std::map<std::string, uint32_t> Slots;
+  std::vector<uint8_t> InitSlots; ///< 1 for each slot an init assigns
   std::vector<Node> Code;
   std::vector<Site> Sites;
   std::vector<std::string> SiteArrays; ///< array name per site
   std::vector<uint32_t> BodySites;     ///< every site of the statements
-  /// The range of each subscript of each site, at Site::First + d.
+  /// The range of subscript d of a site is Ranges[RangeOf[First + d]].
+  /// Without statements in pass 1, those that move with the innermost
+  /// index come first.
+  std::vector<uint32_t> RangeOf;
   std::vector<Range> Ranges;
+  uint32_t MovingRanges = 0;
   std::vector<LoopCode> Loops;
   std::vector<InitCode> Inits;
   std::vector<StmtCode> Stmts;
   /// Some address or bound depends on array values, so pass 1 must
   /// compute values as well.
   bool ValueDependent = false;
-  /// Value-independent, with affine inits and subscripts: pass 1 covers
-  /// each activation of the innermost loop in closed form.
+  /// Value-independent, with affine inits and subscripts and no init that
+  /// assigns a loop index: pass 1 covers each activation of the innermost
+  /// loop in closed form.
   bool AffineBody = false;
+  /// ... and densely laid out: pass 2 sweeps each activation with running
+  /// addresses.
+  bool Swept = false;
+
+  std::vector<Instr> Prog;
+  /// Per loop: pushes its lower bound, upper bound and step.
+  std::vector<Span> BoundsProgs;
+  /// One instance: the inits, then the statements - or, in pass 1 of a
+  /// value-independent nest, the value of each range.
+  Span BodyProg;
+  /// Pass 1, swept: the inits, then the value of each moving range.
+  Span MovedProg;
+  /// Pass 2, swept: the inits, and one iteration.
+  Span InitProg, SweepProg;
+  bool SweepRunsInits = false;
+  std::vector<int64_t> Stack;
+  std::vector<RunningAddress> Run; ///< per site
 
   std::vector<int64_t> Vals;
   std::vector<uint8_t> IsSet;
-  std::vector<int64_t> Scratch;
   std::vector<int64_t> Key;
   uint64_t Headers = 0, Instances = 0;
   bool OverBudget = false;
@@ -261,8 +339,12 @@ AccessStream::AccessStream(const LoopNest &Nest, const CostModelOptions &Opts,
     Loops.push_back({Slots.at(L.IndexVar), Lower, Upper, Step});
   }
   std::set<std::string> Bound = LoopVars;
+  InitSlots.assign(Slots.size(), 0);
+  bool InitAssignsIndex = false;
   for (const InitStmt &I : Nest.Inits) {
     Inits.push_back({Slots.at(I.Var), compile(I.Value, Bound)});
+    InitSlots[Inits.back().Slot] = 1;
+    InitAssignsIndex |= LoopVars.count(I.Var) > 0;
     Bound.insert(I.Var);
   }
   ValueDependent = !Sites.empty(); // reads in bounds or inits
@@ -287,6 +369,7 @@ AccessStream::AccessStream(const LoopNest &Nest, const CostModelOptions &Opts,
     S.Array = Ids.at(SiteArrays[I]);
     S.First = static_cast<uint32_t>(Ranges.size());
     for (uint32_t R : S.Subs) {
+      RangeOf.push_back(static_cast<uint32_t>(Ranges.size()));
       Ranges.push_back({R});
       // A read inside a subscript makes addresses value-dependent.
       for (uint32_t N = R; N < Code[R].End; ++N)
@@ -298,12 +381,15 @@ AccessStream::AccessStream(const LoopNest &Nest, const CostModelOptions &Opts,
     std::map<uint32_t, uint64_t> Coef;
     return affine(Root, 1, C0, Coef);
   };
-  AffineBody = !ValueDependent;
+  // An init that assigns a loop index leaves a stale value in it for the
+  // next instance, which no closed form over an activation follows.
+  AffineBody = !ValueDependent && !InitAssignsIndex;
   for (const InitCode &I : Inits)
     AffineBody &= isAffine(I.Value);
   for (const Range &R : Ranges)
     AffineBody &= isAffine(R.Root);
-  Scratch.assign(Ranges.size(), 0);
+  if (!ValueDependent)
+    orderRanges();
   Vals.assign(Slots.size(), 0);
   IsSet.assign(Slots.size(), 0);
 }
@@ -429,6 +515,34 @@ bool AccessStream::affine(uint32_t I, uint64_t Scale, uint64_t &C0,
   }
 }
 
+bool AccessStream::reads(uint32_t Root,
+                         const std::vector<uint8_t> &SlotSet) const {
+  for (uint32_t N = Root; N < Code[Root].End; ++N)
+    if ((Code[N].K == Op::Load || Code[N].K == Op::LoadOr) &&
+        SlotSet[Code[N].A])
+      return true;
+  return false;
+}
+
+void AccessStream::orderRanges() {
+  // Without statements, pass 1 evaluates every subscript at once. Those
+  // that read neither the innermost index nor an init are fixed over an
+  // activation; the moving ones come first, so a sweep notes every range
+  // at the first iteration and only the moving ones at the last.
+  std::vector<uint8_t> Moving = InitSlots;
+  if (!Loops.empty())
+    Moving[Loops.back().Slot] = 1;
+  std::vector<Range> Ordered;
+  for (bool Moves : {true, false})
+    for (size_t I = 0; I < Ranges.size(); ++I)
+      if (reads(Ranges[I].Root, Moving) == Moves) {
+        RangeOf[I] = static_cast<uint32_t>(Ordered.size());
+        Ordered.push_back(Ranges[I]);
+        MovingRanges += Moves;
+      }
+  Ranges = std::move(Ordered);
+}
+
 bool AccessStream::layOut() {
   // Extents per array from its executed sites, which must agree on arity.
   struct Extent {
@@ -452,8 +566,9 @@ bool AccessStream::layOut() {
     if (E.Lo.size() != S.Subs.size())
       return false;
     for (size_t D = 0; D < S.Subs.size(); ++D) {
-      E.Lo[D] = std::min(E.Lo[D], Ranges[S.First + D].Lo);
-      E.Hi[D] = std::max(E.Hi[D], Ranges[S.First + D].Hi);
+      const Range &R = Ranges[RangeOf[S.First + D]];
+      E.Lo[D] = std::min(E.Lo[D], R.Lo);
+      E.Hi[D] = std::max(E.Hi[D], R.Hi);
     }
   }
 
@@ -480,6 +595,23 @@ bool AccessStream::layOut() {
   Dense = Fits && NextBase / 8 <= MaxDenseElems;
   if (Dense)
     Mem.assign(NextBase / 8, 0);
+  Swept = AffineBody && Dense;
+
+  // How far each slot moves per unit of the innermost index: the index
+  // itself, and each init through the slots it reads. The inits are
+  // affine and never assign a loop index in a swept nest.
+  std::vector<uint64_t> SlotMove(Slots.size(), 0);
+  if (Swept && !Loops.empty()) {
+    SlotMove[Loops.back().Slot] = 1;
+    for (const InitCode &I : Inits) {
+      uint64_t C0 = 0, M = 0;
+      std::map<uint32_t, uint64_t> Coef;
+      affine(I.Value, 1, C0, Coef);
+      for (auto [Slot, C] : Coef)
+        M += C * SlotMove[Slot];
+      SlotMove[I.Slot] = M;
+    }
+  }
 
   // Column-major addresses: Base + 8 * sum (sub[d] - Lo[d]) * Stride[d].
   for (Site &S : Sites) {
@@ -509,13 +641,16 @@ bool AccessStream::layOut() {
         Weights[Slot] += S.Stride[D] * C;
     }
     for (auto [Slot, W] : Weights)
-      if (W)
+      if (W) {
         S.Terms.emplace_back(Slot, W);
+        S.Move += W * SlotMove[Slot];
+      }
   }
   return true;
 }
 
 std::optional<double> AccessStream::missRatio() {
+  emitPrograms(Pass::Extents);
   runLoop<Pass::Extents>(0);
   if (stopped())
     return std::nullopt;
@@ -530,11 +665,103 @@ std::optional<double> AccessStream::missRatio() {
   Hashed.clear();
   IsSet.assign(IsSet.size(), 0);
   Headers = Instances = 0;
+  emitPrograms(Pass::Stream);
   runLoop<Pass::Stream>(0);
   if (stopped())
     return std::nullopt;
   return Sim.missRatio();
 }
+
+//===--- Programs ---------------------------------------------------------===
+
+void AccessStream::emitPrograms(Pass P) {
+  Prog.clear();
+  BoundsProgs.clear();
+  for (const LoopCode &L : Loops) {
+    uint32_t Begin = here();
+    for (uint32_t Root : {L.Lower, L.Upper, L.Step})
+      emit(Root, P);
+    BoundsProgs.push_back({Begin, here()});
+  }
+  // Pass 1 of a value-independent nest needs only the subscripts: the
+  // moving ranges' values come first, so they are a prefix of the body.
+  bool ValuesOnly = P == Pass::Extents && !ValueDependent;
+  BodyProg.Begin = MovedProg.Begin = here();
+  emitInits(P);
+  MovedProg.End = here();
+  if (ValuesOnly) {
+    for (uint32_t K = 0; K < Ranges.size(); ++K) {
+      emit(Ranges[K].Root, P);
+      if (K < MovingRanges)
+        MovedProg.End = here();
+    }
+  } else {
+    emitStmts(P, /*Running=*/false);
+  }
+  BodyProg.End = here();
+  if (P == Pass::Stream && Swept) {
+    // One iteration: the statements with running addresses, after the
+    // inits only when they read one.
+    InitProg.Begin = here();
+    emitInits(P);
+    InitProg.End = here();
+    emitStmts(P, /*Running=*/true);
+    SweepRunsInits = std::any_of(
+        Prog.begin() + InitProg.End, Prog.end(), [&](const Instr &I) {
+          return (I.K == Op::Load || I.K == Op::LoadOr) && InitSlots[I.A];
+        });
+    SweepProg = {SweepRunsInits ? InitProg.Begin : InitProg.End, here()};
+    Run.assign(Sites.size(), RunningAddress());
+  }
+  // No program is deeper than it is long.
+  Stack.assign(Prog.size() + 1, 0);
+}
+
+void AccessStream::emit(uint32_t I, Pass P, bool Running) {
+  const Node &N = Code[I];
+  if (N.K == Op::Read) {
+    emitAccess(N.A, Op::Read, P, Running);
+    return;
+  }
+  int64_t Operands = 0;
+  for (uint32_t C = I + 1; C < N.End; C = Code[C].End, ++Operands)
+    emit(C, P, Running);
+  bool Variadic = N.K == Op::Min || N.K == Op::Max || N.K == Op::Fault;
+  Prog.push_back({N.K, N.HasParam, N.A, Variadic ? Operands : N.C});
+}
+
+void AccessStream::emitAccess(uint32_t SiteId, Op K, Pass P, bool Running) {
+  const Site &S = Sites[SiteId];
+  if (Running) {
+    Prog.push_back({K == Op::Read ? Op::ReadRun : Op::WriteRun, false, SiteId});
+    return;
+  }
+  // A dense pass 2 evaluates only the subscripts its linear form left.
+  int64_t Subs = 0;
+  if (P == Pass::Stream && Dense)
+    for (auto [Root, Stride] : S.TreeDims)
+      emit(Root, P), ++Subs;
+  else
+    for (uint32_t Root : S.Subs)
+      emit(Root, P), ++Subs;
+  Prog.push_back({K, false, SiteId, Subs});
+}
+
+void AccessStream::emitInits(Pass P) {
+  for (const InitCode &I : Inits) {
+    emit(I.Value, P);
+    Prog.push_back({Op::Set, false, I.Slot});
+  }
+}
+
+void AccessStream::emitStmts(Pass P, bool Running) {
+  for (const StmtCode &S : Stmts) {
+    emit(S.Rhs, P, Running);
+    emitAccess(S.Write, Op::Write, P, Running);
+  }
+}
+
+//===--- Execution --------------------------------------------------------===
 
 template <AccessStream::Pass P> void AccessStream::runLoop(unsigned Level) {
   if (Level == Loops.size()) {
@@ -544,11 +771,10 @@ template <AccessStream::Pass P> void AccessStream::runLoop(unsigned Level) {
   // The interpreter's loop, counters and budget included; the increment
   // wraps as it does there, so a runaway loop ends on the budget.
   const LoopCode &L = Loops[Level];
-  int64_t Lo = eval<P>(L.Lower);
-  int64_t Hi = eval<P>(L.Upper);
-  int64_t St = eval<P>(L.Step);
-  if (P == Pass::Extents && AffineBody && Level + 1 == Loops.size() &&
-      sweepInnermost(L, Lo, Hi, St)) {
+  const int64_t *Bounds = run<P>(BoundsProgs[Level]) - 3;
+  int64_t Lo = Bounds[0], Hi = Bounds[1], St = Bounds[2];
+  bool Sweeps = P == Pass::Extents ? AffineBody : Swept;
+  if (Level + 1 == Loops.size() && Sweeps && sweep<P>(L.Slot, Lo, Hi, St)) {
     IsSet[L.Slot] = 0;
     return;
   }
@@ -561,24 +787,26 @@ template <AccessStream::Pass P> void AccessStream::runLoop(unsigned Level) {
       OverBudget = true;
       return;
     }
-    Vals[L.Slot] = X;
-    IsSet[L.Slot] = 1;
+    setSlot(L.Slot, X);
     runLoop<P>(Level + 1);
   }
   IsSet[L.Slot] = 0;
 }
 
-bool AccessStream::sweepInnermost(const LoopCode &L, int64_t Lo, int64_t Hi,
-                                  int64_t St) {
+template <AccessStream::Pass P>
+bool AccessStream::sweep(uint32_t Slot, int64_t Lo, int64_t Hi, int64_t St) {
   // Inits and subscripts are affine, so each of their nodes is affine in
-  // the innermost index over one activation: its range, and any overflow,
-  // show at the first and last iteration.
+  // the innermost index over one activation: pass 1 sees its range, and
+  // any overflow, at the first and last iteration. Pass 2 then moves each
+  // address by a fixed step per iteration.
   using Wide = __int128;
   if (St == 0)
     return false;
   if (St > 0 ? Lo > Hi : Lo < Hi)
     return true;
-  Wide Trips = (St > 0 ? Wide(Hi) - Lo : Wide(Lo) - Hi) / magnitude(St) + 1;
+  uint64_t Distance = static_cast<uint64_t>(St > 0 ? Hi : Lo) -
+                      static_cast<uint64_t>(St > 0 ? Lo : Hi);
+  Wide Trips = Wide(Distance / magnitude(St)) + 1;
   Wide Last = Lo + (Trips - 1) * St;
   if (Last + St > INT64_MAX || Last + St < INT64_MIN)
     return false; // the index wraps, as it does in the interpreter
@@ -588,15 +816,26 @@ bool AccessStream::sweepInnermost(const LoopCode &L, int64_t Lo, int64_t Hi,
   }
   Headers += static_cast<uint64_t>(Trips);
   Instances += static_cast<uint64_t>(Trips);
-  for (int64_t X : {Lo, static_cast<int64_t>(Last)}) {
-    Vals[L.Slot] = X;
-    IsSet[L.Slot] = 1;
-    for (const InitCode &I : Inits) {
-      int64_t V = eval<Pass::Extents>(I.Value);
-      Vals[I.Slot] = V;
-      IsSet[I.Slot] = 1;
-    }
-    noteRanges();
+  if (P == Pass::Extents) {
+    setSlot(Slot, Lo);
+    noteRanges(BodyProg);
+    setSlot(Slot, static_cast<int64_t>(Last));
+    noteRanges(MovedProg);
+    return true;
+  }
+  setSlot(Slot, Lo);
+  run<P>(InitProg);
+  for (uint32_t I : BodySites)
+    Run[I] = {linearPart(Sites[I]), Sites[I].Move * static_cast<uint64_t>(St)};
+  int64_t X = Lo;
+  for (uint64_t T = static_cast<uint64_t>(Trips); T > 0; --T, X += St) {
+    Vals[Slot] = X;
+    run<P>(SweepProg);
+  }
+  // Leave the inits as the last instance does: a bound may read them.
+  if (!SweepRunsInits && !Inits.empty()) {
+    Vals[Slot] = static_cast<int64_t>(Last);
+    run<P>(InitProg);
   }
   return true;
 }
@@ -606,107 +845,117 @@ template <AccessStream::Pass P> void AccessStream::runBody() {
     OverBudget = true;
     return;
   }
-  for (const InitCode &I : Inits) {
-    int64_t V = eval<P>(I.Value);
-    Vals[I.Slot] = V;
-    IsSet[I.Slot] = 1;
-  }
-  if (P == Pass::Extents && !ValueDependent) {
-    // Values cannot move an address: pass 1 needs only the subscripts.
-    noteRanges();
-    return;
-  }
-  for (const StmtCode &S : Stmts) {
-    int64_t V = eval<P>(S.Rhs);
-    access<P>(Sites[S.Write]) = V;
-  }
+  if (P == Pass::Extents && !ValueDependent)
+    noteRanges(BodyProg);
+  else
+    run<P>(BodyProg);
 }
 
-template <AccessStream::Pass P> int64_t AccessStream::eval(uint32_t I) {
-  const Node &N = Code[I];
-  switch (N.K) {
-  case Op::Const:
-    return N.C;
-  case Op::Load:
-    return Vals[N.A];
-  case Op::LoadOr:
-    if (IsSet[N.A])
-      return Vals[N.A];
-    if (N.HasParam)
-      return N.C;
-    OverflowGuard::record(); // unbound variable
-    return 0;
-  case Op::Add:
-  case Op::Sub:
-  case Op::Mul:
-  case Op::Div:
-  case Op::Mod: {
-    int64_t L = eval<P>(I + 1);
-    int64_t R = eval<P>(Code[I + 1].End);
-    switch (N.K) {
+template <AccessStream::Pass P> int64_t *AccessStream::run(Span S) {
+  int64_t *Sp = Stack.data();
+  for (const Instr *I = Prog.data() + S.Begin, *E = Prog.data() + S.End;
+       I != E; ++I) {
+    switch (I->K) {
+    case Op::Const:
+      *Sp++ = I->C;
+      break;
+    case Op::Load:
+      *Sp++ = Vals[I->A];
+      break;
+    case Op::LoadOr:
+      if (IsSet[I->A]) {
+        *Sp++ = Vals[I->A];
+      } else if (I->HasParam) {
+        *Sp++ = I->C;
+      } else {
+        OverflowGuard::record(); // unbound variable
+        *Sp++ = 0;
+      }
+      break;
     case Op::Add:
-      return addChecked(L, R);
+      --Sp;
+      Sp[-1] = addChecked(Sp[-1], *Sp);
+      break;
     case Op::Sub:
-      return subChecked(L, R);
+      --Sp;
+      Sp[-1] = subChecked(Sp[-1], *Sp);
+      break;
     case Op::Mul:
-      return mulChecked(L, R);
+      --Sp;
+      Sp[-1] = mulChecked(Sp[-1], *Sp);
+      break;
     case Op::Div:
-      return floorDiv(L, R);
-    default:
-      return floorMod(L, R);
+      --Sp;
+      Sp[-1] = floorDiv(Sp[-1], *Sp);
+      break;
+    case Op::Mod:
+      --Sp;
+      Sp[-1] = floorMod(Sp[-1], *Sp);
+      break;
+    case Op::Min:
+    case Op::Max: {
+      Sp -= I->C;
+      int64_t Best = Sp[0];
+      for (int64_t K = 1; K < I->C; ++K)
+        Best = I->K == Op::Min ? std::min(Best, Sp[K]) : std::max(Best, Sp[K]);
+      *Sp++ = Best;
+      break;
+    }
+    case Op::Sqrt:
+      Sp[-1] = isqrtChecked(Sp[-1]);
+      break;
+    case Op::Abs:
+      if (Sp[-1] < 0)
+        Sp[-1] = negChecked(Sp[-1]);
+      break;
+    case Op::Sgn:
+      Sp[-1] = sign(Sp[-1]);
+      break;
+    case Op::Fault:
+      Sp -= I->C;
+      OverflowGuard::record();
+      *Sp++ = 0;
+      break;
+    case Op::Read:
+      Sp -= I->C;
+      *Sp = cell<P>(Sites[I->A], Sp);
+      ++Sp;
+      break;
+    case Op::Write:
+      Sp -= I->C;
+      cell<P>(Sites[I->A], Sp) = Sp[-1];
+      --Sp;
+      break;
+    case Op::Set:
+      --Sp;
+      setSlot(I->A, *Sp);
+      break;
+    case Op::ReadRun:
+      *Sp++ = Mem[advance(I->A) >> 3];
+      break;
+    case Op::WriteRun:
+      --Sp;
+      Mem[advance(I->A) >> 3] = *Sp;
+      break;
     }
   }
-  case Op::Min:
-  case Op::Max: {
-    uint32_t C = I + 1;
-    int64_t Best = eval<P>(C);
-    for (C = Code[C].End; C < N.End; C = Code[C].End) {
-      int64_t V = eval<P>(C);
-      Best = N.K == Op::Min ? std::min(Best, V) : std::max(Best, V);
-    }
-    return Best;
-  }
-  case Op::Read:
-    return access<P>(Sites[N.A]);
-  case Op::Sqrt:
-    return isqrtChecked(eval<P>(I + 1));
-  case Op::Abs: {
-    int64_t V = eval<P>(I + 1);
-    return V < 0 ? negChecked(V) : V;
-  }
-  case Op::Sgn:
-    return sign(eval<P>(I + 1));
-  case Op::Fault:
-    for (uint32_t C = I + 1; C < N.End; C = Code[C].End)
-      eval<P>(C);
-    OverflowGuard::record();
-    return 0;
-  }
-  return 0;
+  return Sp;
 }
 
-template <AccessStream::Pass P> int64_t *AccessStream::evalSubs(Site &S) {
-  int64_t *Out = Scratch.data() + S.First;
-  for (size_t D = 0; D < S.Subs.size(); ++D) {
-    const Node &N = Code[S.Subs[D]];
-    Out[D] = N.K == Op::Load ? Vals[N.A] : eval<P>(S.Subs[D]);
-  }
-  return Out;
-}
-
-void AccessStream::noteRanges() {
-  for (Range &R : Ranges) {
-    const Node &N = Code[R.Root];
-    int64_t V = N.K == Op::Load ? Vals[N.A] : eval<Pass::Extents>(R.Root);
-    R.Lo = std::min(R.Lo, V);
-    R.Hi = std::max(R.Hi, V);
+void AccessStream::noteRanges(Span S) {
+  const int64_t *V = Stack.data();
+  size_t N = static_cast<size_t>(run<Pass::Extents>(S) - V);
+  for (size_t K = 0; K < N; ++K) {
+    Range &R = Ranges[K];
+    R.Lo = std::min(R.Lo, V[K]);
+    R.Hi = std::max(R.Hi, V[K]);
   }
 }
 
 void AccessStream::noteExtents(Site &S, const int64_t *Subs) {
   S.Executed = true;
   for (size_t D = 0; D < S.Subs.size(); ++D) {
-    Range &R = Ranges[S.First + D];
+    Range &R = Ranges[RangeOf[S.First + D]];
     R.Lo = std::min(R.Lo, Subs[D]);
     R.Hi = std::max(R.Hi, Subs[D]);
   }
@@ -719,13 +968,10 @@ uint64_t AccessStream::addressOf(const Site &S, const int64_t *Subs) const {
   return Addr;
 }
 
-template <AccessStream::Pass P> uint64_t AccessStream::linearAddress(Site &S) {
+uint64_t AccessStream::linearPart(const Site &S) const {
   uint64_t Addr = S.LinearBase;
   for (auto [Slot, W] : S.Terms)
     Addr += W * static_cast<uint64_t>(Vals[Slot]);
-  // In subscript order: a read inside one is an access of its own.
-  for (auto [Root, Stride] : S.TreeDims)
-    Addr += Stride * static_cast<uint64_t>(eval<P>(Root));
   return Addr;
 }
 
@@ -735,13 +981,16 @@ std::vector<int64_t> &AccessStream::keyOf(const Site &S, const int64_t *Subs) {
   return Key;
 }
 
-template <AccessStream::Pass P> int64_t &AccessStream::access(Site &S) {
+template <AccessStream::Pass P>
+int64_t &AccessStream::cell(Site &S, const int64_t *Subs) {
   if (P == Pass::Stream && Dense) {
-    uint64_t Addr = linearAddress<P>(S);
+    // The linear form, then the dimensions left to evaluate.
+    uint64_t Addr = linearPart(S);
+    for (size_t D = 0; D < S.TreeDims.size(); ++D)
+      Addr += S.TreeDims[D].second * static_cast<uint64_t>(Subs[D]);
     Sim.access(Addr);
     return Mem[Addr >> 3];
   }
-  int64_t *Subs = evalSubs<P>(S);
   if (P == Pass::Extents)
     noteExtents(S, Subs);
   else

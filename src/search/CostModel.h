@@ -16,17 +16,25 @@
 ///
 /// Each measurement compiles the transformed nest once into slot-resolved
 /// code: loop indices and init variables become slots, parameters become
-/// constants, arrays become ids in name order, and arithmetic uses the
-/// checked helpers of Expr::evaluate (addChecked, subChecked, mulChecked,
-/// floorDiv, floorMod). Pass 1 enumerates the nest and records each
-/// array's subscript range per dimension; pass 2 enumerates it again and
-/// feeds the column-major address of each access straight into CacheSim.
-/// No access is materialized and nothing is looked up by name. Array
-/// values are still computed, since they can fault (an overflowing or
-/// dividing right-hand side) and can move addresses (an array read in a
-/// subscript, a bound or an init): pass 1 keeps them in a hashed store
-/// when addresses depend on them, pass 2 in a dense buffer laid out like
-/// the simulated memory.
+/// constants, arrays become ids in name order, and every bound, init,
+/// subscript and right-hand side runs as a flat postfix program whose
+/// arithmetic uses the checked helpers of Expr::evaluate (addChecked,
+/// subChecked, mulChecked, floorDiv, floorMod). Pass 1 enumerates the
+/// nest and records each array's subscript range per dimension; pass 2
+/// enumerates it again and feeds the column-major address of each access
+/// straight into CacheSim. No access is materialized and nothing is
+/// looked up by name. Array values are still computed, since they can
+/// fault (an overflowing or dividing right-hand side) and can move
+/// addresses (an array read in a subscript, a bound or an init): pass 1
+/// keeps them in a hashed store when addresses depend on them, pass 2 in
+/// a dense buffer laid out like the simulated memory.
+///
+/// Affine nests - no address or bound that depends on values, affine
+/// inits and subscripts - take the innermost loop one activation at a
+/// time. Pass 1 notes each subscript's range from the first and last
+/// iteration. In a dense layout, pass 2 computes each access's address
+/// once per activation and then moves it by a fixed step per iteration,
+/// while the statements' programs compute the values.
 ///
 /// Exactness contract: the stream yields exactly what the interpreter
 /// (eval/Evaluator.h) with access recording, a layout inferred from the

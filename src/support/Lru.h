@@ -30,6 +30,7 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -38,15 +39,20 @@ namespace irlt {
 /// Keyed map with LRU eviction once a capacity is set. Values are held
 /// as shared_ptr<const V>, so an evicted entry stays valid for callers
 /// still holding a reference (the Pipeline hands cache entries out this
-/// way).
+/// way). Each key is stored once, in its list node; the index keys on a
+/// view of it, and std::hash<std::string_view> hashes the characters
+/// exactly as std::hash<std::string> does.
 template <typename V> class LruMap {
 public:
   /// \p Capacity 0 means unbounded (no eviction ever happens).
   explicit LruMap(size_t Capacity = 0) : Cap(Capacity) {}
+  // The index points into the list: a copy would point into this one.
+  LruMap(const LruMap &) = delete;
+  LruMap &operator=(const LruMap &) = delete;
 
   /// Returns the entry (refreshing its recency) or nullptr.
   std::shared_ptr<const V> lookup(const std::string &Key) {
-    auto It = Index.find(Key);
+    auto It = Index.find(std::string_view(Key));
     if (It == Index.end())
       return nullptr;
     Order.splice(Order.begin(), Order, It->second);
@@ -60,18 +66,19 @@ public:
   std::shared_ptr<const V> insert(const std::string &Key,
                                   std::shared_ptr<const V> Val,
                                   std::shared_ptr<const V> *Evicted = nullptr) {
-    auto It = Index.find(Key);
+    auto It = Index.find(std::string_view(Key));
     if (It != Index.end()) {
       Order.splice(Order.begin(), Order, It->second);
       return It->second->second;
     }
+    // A list node never moves, so the view stays valid until it is erased.
     Order.emplace_front(Key, std::move(Val));
-    Index.emplace(Key, Order.begin());
+    Index.emplace(std::string_view(Order.front().first), Order.begin());
     ++Inserts;
     if (Cap && Order.size() > Cap) {
       if (Evicted)
         *Evicted = std::move(Order.back().second);
-      Index.erase(Order.back().first);
+      Index.erase(std::string_view(Order.back().first));
       Order.pop_back();
       ++Evictions;
     }
@@ -87,8 +94,8 @@ public:
   /// counters stay monotonic and inserts() - evictions() == size() holds.
   void clear() {
     Evictions += Order.size();
-    Order.clear();
     Index.clear();
+    Order.clear();
   }
 
   /// Visits entries from least- to most-recently used (the order a dump
@@ -100,12 +107,11 @@ public:
 
 private:
   size_t Cap;
+  using Entry = std::pair<std::string, std::shared_ptr<const V>>;
   /// Front = most recently used.
-  std::list<std::pair<std::string, std::shared_ptr<const V>>> Order;
-  std::unordered_map<std::string,
-                     typename std::list<
-                         std::pair<std::string, std::shared_ptr<const V>>>::
-                         iterator>
+  std::list<Entry> Order;
+  /// Views of the keys in Order.
+  std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
       Index;
   uint64_t Inserts = 0;
   uint64_t Evictions = 0;

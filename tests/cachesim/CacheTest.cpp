@@ -5,9 +5,75 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace irlt;
 
 namespace {
+
+/// The reference simulator: per-set lines stamped with a global clock,
+/// the least recently stamped one evicted. CacheSim keeps each set's tags
+/// most recently used first instead and must agree on every access.
+class ReferenceLru {
+public:
+  explicit ReferenceLru(const CacheConfig &C)
+      : Config(C), NumSets(C.SizeBytes / (C.LineBytes * C.Associativity)),
+        Lines(NumSets * C.Associativity), Fill(NumSets, 0) {}
+
+  bool access(uint64_t Addr) {
+    uint64_t LineAddr = Addr / Config.LineBytes;
+    uint64_t SetIdx = LineAddr % NumSets, Tag = LineAddr / NumSets;
+    ++Clock;
+    Line *S = &Lines[SetIdx * Config.Associativity];
+    unsigned N = Fill[SetIdx];
+    for (unsigned I = 0; I < N; ++I)
+      if (S[I].Tag == Tag) {
+        S[I].LastUse = Clock;
+        ++Hits;
+        return true;
+      }
+    ++Misses;
+    if (N < Config.Associativity) {
+      S[N] = Line{Tag, Clock};
+      Fill[SetIdx] = N + 1;
+      return false;
+    }
+    unsigned Victim = 0;
+    for (unsigned I = 1; I < N; ++I)
+      if (S[I].LastUse < S[Victim].LastUse)
+        Victim = I;
+    S[Victim] = Line{Tag, Clock};
+    return false;
+  }
+
+  uint64_t Hits = 0, Misses = 0;
+
+private:
+  struct Line {
+    uint64_t Tag, LastUse;
+  };
+  CacheConfig Config;
+  uint64_t NumSets;
+  std::vector<Line> Lines;
+  std::vector<unsigned> Fill;
+  uint64_t Clock = 0;
+};
+
+/// Feeds \p Addrs to both simulators and compares every outcome.
+void expectSameAsReference(const CacheConfig &C,
+                           const std::vector<uint64_t> &Addrs,
+                           const std::string &What) {
+  CacheSim Sim(C);
+  ReferenceLru Ref(C);
+  for (size_t I = 0; I < Addrs.size(); ++I)
+    ASSERT_EQ(Sim.access(Addrs[I]), Ref.access(Addrs[I]))
+        << What << ": access " << I << " at " << Addrs[I];
+  EXPECT_EQ(Sim.hits(), Ref.Hits) << What;
+  EXPECT_EQ(Sim.misses(), Ref.Misses) << What;
+  EXPECT_GT(Sim.hits(), 0u) << What << ": the stream should reuse lines";
+  EXPECT_GT(Sim.misses(), C.SizeBytes / C.LineBytes)
+      << What << ": the stream should evict";
+}
 
 TEST(CacheSim, ColdMissesThenHits) {
   CacheSim C(CacheConfig{1024, 64, 2});
@@ -110,6 +176,34 @@ TEST(CacheSim, StreamingVsBlockedTraceShape) {
   EXPECT_LT(FriendlyMiss, StridedMiss);
   EXPECT_LT(FriendlyMiss, 0.2);
   EXPECT_GT(StridedMiss, 0.4);
+}
+
+TEST(CacheSim, AgreesWithTimestampLruOnRandomAndStridedStreams) {
+  std::mt19937_64 Rng(20261019);
+  for (unsigned Ways : {1u, 2u, 4u, 8u}) {
+    // Power-of-two set counts take the shift path; 12 sets or 48-byte
+    // lines take the division path.
+    using Geometry = std::pair<uint64_t, uint64_t>; // sets, line bytes
+    for (auto [Sets, LineBytes] :
+         {Geometry{16, 64}, Geometry{32, 32}, Geometry{12, 64},
+          Geometry{16, 48}}) {
+      CacheConfig C{Sets * Ways * LineBytes, LineBytes, Ways};
+      std::string What = std::to_string(Ways) + "-way, " +
+                         std::to_string(Sets) + " sets of " +
+                         std::to_string(LineBytes) + "-byte lines";
+      uint64_t Span = 4 * C.SizeBytes;
+      std::vector<uint64_t> Random;
+      for (unsigned I = 0; I < 20000; ++I)
+        Random.push_back(Rng() % Span + (I % 3 == 0 ? (1ull << 40) : 0));
+      expectSameAsReference(C, Random, What + ", random");
+      std::vector<uint64_t> Strided;
+      for (uint64_t Stride : {8ull, 56ull, 200ull, 4104ull})
+        for (unsigned Pass = 0; Pass < 3; ++Pass)
+          for (uint64_t I = 0; I < 1500; ++I)
+            Strided.push_back(Pass * 24 + I * Stride % (3 * C.SizeBytes));
+      expectSameAsReference(C, Strided, What + ", strided");
+    }
+  }
 }
 
 } // namespace

@@ -386,3 +386,23 @@ TEST(Engine, WorkerThrowFaultDegradesToInternalRecord) {
   EXPECT_TRUE(json::JsonValue::parse(Recs[1])->boolOr("ok", false))
       << "the fault targets marker ids only";
 }
+
+TEST(Engine, RecordsLeaveWithoutWriterSlack) {
+  // A record outlives its request (the in-order result buffer, serve
+  // replies), so it leaves the engine without the JSON writer's doubling
+  // slack.
+  api::Pipeline P;
+  EngineOptions O;
+  StageSampler S;
+  std::vector<std::string> Lines = smokeCorpus();
+  // The block script, the auto request and the missing-nest error.
+  for (size_t I : {0u, 2u, 4u}) {
+    RequestOutcome Out = processRequest(P, O, Lines[I], I + 1, S);
+    ASSERT_FALSE(Out.Record.empty()) << Lines[I];
+    EXPECT_LT(Out.Record.capacity() - Out.Record.size(), 16u) << Out.Record;
+  }
+  std::string Err = makeErrorRecord("irlt-batch", "x", errkind::Request,
+                                    "a message long enough to grow the "
+                                    "writer's buffer several times over");
+  EXPECT_LT(Err.capacity() - Err.size(), 16u) << Err;
+}

@@ -406,3 +406,204 @@ TEST(CostModelStream, EdgeOutcomes) {
   Headers.MaxInstances = 8;
   EXPECT_EQ(run(NoBody, Headers, "header budget met"), 0.0);
 }
+
+// Affine nests sweep each innermost activation: running addresses, flat
+// statement programs, budgets checked once per activation. The cases
+// below aim at that path's edges.
+
+TEST(CostModelStream, SweptActivationEdgesMatchInterpreter) {
+  const char *Nests[] = {
+      // A reversed innermost loop, and steps of magnitude above 1.
+      "do i = 1, n\n"
+      "  do j = n, 1, -1\n"
+      "    a(i, j) = a(i, j + 1) + 1\n"
+      "  enddo\n"
+      "enddo\n",
+      "do i = 1, n\n"
+      "  do j = 2, n, 3\n"
+      "    a(i, j) = a(i - 1, j) + a(i, j - 3)\n"
+      "  enddo\n"
+      "enddo\n",
+      "do i = 1, n\n"
+      "  do j = n, 1, -2\n"
+      "    a(j, i) = a(j + 2, i) + 1\n"
+      "  enddo\n"
+      "enddo\n",
+      // Activations of 4, 3, 2 and 1 trips, then empty ones.
+      "do i = 1, n\n"
+      "  do j = i, 4\n"
+      "    a(i, j) = a(i, j - 1) + 1\n"
+      "  enddo\n"
+      "enddo\n",
+      // Right-hand sides that read the innermost index, or (once skewed)
+      // an init.
+      "do i = 1, n\n"
+      "  a(i) = i\n"
+      "enddo\n",
+      "do i = 1, n\n"
+      "  do j = 1, n\n"
+      "    a(i, j) = a(i, j - 1) + j * i\n"
+      "    b(j) = a(i, j) - i\n"
+      "  enddo\n"
+      "enddo\n",
+  };
+  // Inits under Block and Interleave (skewed first), reversal and
+  // strip-mining.
+  const char *Scripts[] = {"",
+                           "skew 2 1 1\nblock 1 2 4 4",
+                           "unimodular 1 1 / 0 1\ninterleave 1 2 2 2",
+                           "reverse 1",
+                           "stripmine 2 3",
+                           "interchange 1 2"};
+  Tally T;
+  for (const char *Src : Nests) {
+    LoopNest Nest = parse(Src);
+    CostModelOptions O = smallOptions(Nest);
+    for (const char *Script : Scripts) {
+      ErrorOr<TransformSequence> Seq =
+          parseTransformScript(Script, Nest.numLoops());
+      if (Seq)
+        expectSame(Nest, *Seq, O, Script, &T);
+    }
+  }
+  EXPECT_GT(T.Measured, 20u) << "of " << T.Cases;
+
+  // One non-default geometry: 16 sets of three 48-byte lines.
+  LoopNest Matmul = parse(PaperNests[0]);
+  CostModelOptions Odd = smallOptions(Matmul, 12);
+  Odd.Cache = CacheConfig{16 * 3 * 48, 48, 3};
+  for (const char *Script :
+       {"", "interchange 2 3", "block 1 2 4 4", "stripmine 3 4",
+        "skew 3 1 1\nblock 2 3 2 2"}) {
+    ErrorOr<TransformSequence> Seq = parseTransformScript(Script, 3);
+    ASSERT_TRUE(static_cast<bool>(Seq)) << Seq.message();
+    EXPECT_TRUE(expectSame(Matmul, *Seq, Odd, Script).has_value()) << Script;
+  }
+}
+
+TEST(CostModelStream, InitAssigningALoopIndexMatchesInterpreter) {
+  // Hand-built (no template emits one): an init that assigns a loop index
+  // leaves its value for the next instance to read, which no closed form
+  // over an activation follows, so the nest takes the per-iteration path.
+  CostModelOptions O;
+  O.Params = {{"n", 24}};
+  LoopNest Nest = parse("do i = 1, n\n"
+                        "  do j = 1, n\n"
+                        "    a(i, j) = a(i, j) + 1\n"
+                        "  enddo\n"
+                        "enddo\n");
+  Nest.Inits = {InitStmt{"i", Expr::add(Expr::var("i"), Expr::var("j"))}};
+  EXPECT_TRUE(expectSame(Nest, TransformSequence(), O, "init assigns i")
+                  .has_value());
+  Nest.Inits = {InitStmt{"j", Expr::add(Expr::var("j"), Expr::intConst(2))}};
+  EXPECT_TRUE(expectSame(Nest, TransformSequence(), O, "init assigns j")
+                  .has_value());
+}
+
+TEST(CostModelStream, SweptOutcomesMatchInterpreter) {
+  TransformSequence Id;
+  auto run = [&](const char *Src, const CostModelOptions &O,
+                 const char *What) {
+    return expectSame(parse(Src), Id, O, What);
+  };
+  auto opts = [&](const char *Src) { return smallOptions(parse(Src)); };
+
+  // Every operation inside a swept statement.
+  const char *Ops = "do i = 1, n\n"
+                    "  do j = 1, n\n"
+                    "    a(i, j) = min(a(i, j - 1), j) + max(i, 3) + "
+                    "a(i, j) / (j + 1) + mod(a(i, j - 1) + j, 3) + sqrt(j) + "
+                    "abs(i - j) + sgn(j - 4)\n"
+                    "  enddo\n"
+                    "enddo\n";
+  EXPECT_TRUE(run(Ops, opts(Ops), "every op").has_value());
+
+  // Faults partway through an activation.
+  const char *Partway[] = {
+      // A value that overflows at j = 7.
+      "do i = 1, n\n"
+      "  do j = 1, n\n"
+      "    a(i, j) = a(i, j - 1) * 1000 + 1000\n"
+      "  enddo\n"
+      "enddo\n",
+      // Division and modulus by zero at j = 4.
+      "do i = 1, n\n"
+      "  do j = 1, n\n"
+      "    a(i, j) = a(i, j) + 10 / (j - 4)\n"
+      "  enddo\n"
+      "enddo\n",
+      "do i = 1, n\n"
+      "  do j = 1, n\n"
+      "    a(i, j) = mod(a(i, j) + 7, j - 4)\n"
+      "  enddo\n"
+      "enddo\n",
+      // The square root of a negative value from j = 6.
+      "do i = 1, n\n"
+      "  do j = 1, n\n"
+      "    a(i, j) = sqrt(5 - j)\n"
+      "  enddo\n"
+      "enddo\n",
+      // abs of INT64_MIN, reached at j = 3.
+      "do i = 1, n\n"
+      "  do j = 1, n\n"
+      "    a(i, j) = abs(min(j - 3, 0) * 9223372036854775807 + "
+      "min(j - 3, 0) * 2)\n"
+      "  enddo\n"
+      "enddo\n",
+  };
+  for (const char *Src : Partway)
+    EXPECT_EQ(run(Src, opts(Src), "fault partway"), std::nullopt) << Src;
+
+  // An unbound variable faults where it runs. The interpreter cannot
+  // evaluate one at all, so only the stream's answer is checked where it
+  // does.
+  const char *Unbound = "do i = 1, n\n"
+                        "  do j = i, 3\n"
+                        "    a(i, j) = a(i, j) + q\n"
+                        "  enddo\n"
+                        "enddo\n";
+  LoopNest UnboundNest = parse(Unbound);
+  CostModelOptions NoQ;
+  NoQ.Params = {{"n", 8}};
+  CostModel UnboundModel(UnboundNest, NoQ);
+  EXPECT_EQ(UnboundModel.missRatio(Id, Id.str()), std::nullopt);
+  NoQ.Params = {{"n", 0}};
+  EXPECT_EQ(run(Unbound, NoQ, "unbound but never run"), 0.0);
+
+  // The budget: 8 outer and 64 inner headers run out exactly at the last
+  // instance, or one short of it.
+  const char *Square = "do i = 1, n\n"
+                       "  do j = 1, n\n"
+                       "    a(i, j) = a(i, j - 1) + 1\n"
+                       "  enddo\n"
+                       "enddo\n";
+  CostModelOptions Budget = opts(Square);
+  Budget.MaxInstances = 72;
+  EXPECT_TRUE(
+      run(Square, Budget, "budget met at the last instance").has_value());
+  Budget.MaxInstances = 71;
+  EXPECT_EQ(run(Square, Budget, "budget one short"), std::nullopt);
+
+  // An innermost index next to INT64_MAX: the last increment still fits.
+  const char *NearMax = "do i = 1, n\n"
+                        "  do j = 9223372036854775800, 9223372036854775806\n"
+                        "    a(i, j - 9223372036854775800) = "
+                        "a(i, j - 9223372036854775801) + 1\n"
+                        "  enddo\n"
+                        "enddo\n";
+  EXPECT_TRUE(
+      run(NearMax, opts(NearMax), "index next to INT64_MAX").has_value());
+  // Here it would wrap: the stream falls back to the per-iteration loop,
+  // which wraps like the interpreter and runs into the budget. The
+  // interpreter's own loop overflows a signed index there, so the answer
+  // is checked without it.
+  LoopNest Wraps = parse("do i = 1, n\n"
+                         "  do j = 9223372036854775806, 9223372036854775807\n"
+                         "    a(i) = a(i) + 1\n"
+                         "  enddo\n"
+                         "enddo\n");
+  CostModelOptions Small = smallOptions(Wraps);
+  Small.MaxInstances = 1'000;
+  CostModel WrapModel(Wraps, Small);
+  EXPECT_EQ(WrapModel.missRatio(Id, Id.str()), std::nullopt);
+}

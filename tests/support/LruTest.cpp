@@ -19,6 +19,11 @@ std::shared_ptr<const int> val(int V) {
   return std::make_shared<const int>(V);
 }
 
+/// A key past the small-string buffer, so it lives on the heap.
+std::string longKey(int I) {
+  return std::string(40, static_cast<char>('a' + I % 26)) + std::to_string(I);
+}
+
 /// Resident keys from least- to most-recently used.
 std::vector<std::string> order(const LruMap<int> &M) {
   std::vector<std::string> Keys;
@@ -116,4 +121,68 @@ TEST(Lru, ForEachVisitsLruToMru) {
   ASSERT_EQ(Keys.size(), 3u);
   EXPECT_EQ(Keys.front(), "b"); // LRU first
   EXPECT_EQ(Keys.back(), "a");  // MRU last
+}
+
+// The index keys on views of the keys stored in the list, so the tests
+// below build every key afresh and check that survivors keep theirs.
+
+TEST(Lru, LookupWithATemporaryKeyFindsTheStoredEntry) {
+  LruMap<int> M(0);
+  M.insert(longKey(1), val(1));
+  M.insert(longKey(2), val(2));
+  ASSERT_NE(M.lookup(longKey(1)), nullptr);
+  EXPECT_EQ(*M.lookup(longKey(1)), 1);
+  EXPECT_EQ(*M.lookup(std::string(longKey(2))), 2);
+  EXPECT_EQ(M.lookup(longKey(3)), nullptr);
+  EXPECT_EQ(*M.insert(longKey(1), val(9)), 1) << "a present key is found";
+  EXPECT_EQ(M.inserts(), 2u);
+}
+
+TEST(Lru, SurvivorsKeepTheirKeysAfterEvictions) {
+  LruMap<int> M(3);
+  for (int I = 0; I < 10; ++I) {
+    M.insert(longKey(I), val(I));
+    M.lookup(longKey(0)); // keeps key 0 resident
+  }
+  EXPECT_EQ(order(M),
+            (std::vector<std::string>{longKey(8), longKey(9), longKey(0)}));
+  for (int I : {0, 8, 9}) {
+    ASSERT_NE(M.lookup(longKey(I)), nullptr) << I;
+    EXPECT_EQ(*M.lookup(longKey(I)), I);
+  }
+  for (int I = 1; I < 8; ++I)
+    EXPECT_EQ(M.lookup(longKey(I)), nullptr) << I;
+  EXPECT_EQ(M.evictions(), 7u);
+}
+
+TEST(Lru, ClearDropsEveryKeyAndTakesThemAgain) {
+  LruMap<int> M(4);
+  for (int I = 0; I < 4; ++I)
+    M.insert(longKey(I), val(I));
+  M.clear();
+  EXPECT_EQ(M.size(), 0u);
+  EXPECT_EQ(M.evictions(), 4u);
+  EXPECT_TRUE(order(M).empty());
+  for (int I = 0; I < 4; ++I)
+    EXPECT_EQ(M.lookup(longKey(I)), nullptr) << I;
+  M.insert(longKey(1), val(11));
+  ASSERT_NE(M.lookup(longKey(1)), nullptr);
+  EXPECT_EQ(*M.lookup(longKey(1)), 11);
+  EXPECT_EQ(order(M), std::vector<std::string>{longKey(1)});
+  EXPECT_EQ(M.inserts() - M.evictions(), M.size());
+}
+
+TEST(Lru, ForEachVisitsRefreshedLongKeysLruToMru) {
+  LruMap<int> M(0);
+  for (int I = 0; I < 4; ++I)
+    M.insert(longKey(I), val(I));
+  M.lookup(longKey(1));
+  M.insert(longKey(0), val(7)); // present: refreshed, not replaced
+  std::vector<int> Vals;
+  M.forEachLruToMru([&](const std::string &, const int &V) {
+    Vals.push_back(V);
+  });
+  EXPECT_EQ(order(M), (std::vector<std::string>{longKey(2), longKey(3),
+                                                longKey(1), longKey(0)}));
+  EXPECT_EQ(Vals, (std::vector<int>{2, 3, 1, 0}));
 }
