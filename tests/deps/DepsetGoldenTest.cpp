@@ -8,14 +8,16 @@
 /// Pins the dependence sets of generated nests byte for byte. Each line of
 /// tests/data/deps/generated_depsets.golden holds, for one nest, the
 /// pipeline backend's DepSet, its overflow flag and the fm-exact backend's
-/// DepSet ("=" when it equals the pipeline's). The corpus:
+/// DepSet ("=" when it equals the pipeline's). Each line of
+/// tests/data/deps/generated_provenance.golden holds every DepPairInfo
+/// field of the pipeline backend's pairs for the same nest. The corpus:
 ///  - 2,000 nests drawn the way perfbench's cold-script stream draws them
 ///    (fuzz::generateColdNest, the stream of benchmark seed 0);
 ///  - 100 3-deep triangular nests, which that stream leaves out;
 ///  - 200 overflow-mode nests (a 2^62 loop extent).
 /// Both backends run on FMSystem, so the golden pins the solver's
 /// feasibility and range answers on the inputs the analyzers build, row
-/// cap included. Regenerate with IRLT_UPDATE_GOLDEN=1.
+/// cap included. Regenerate both with IRLT_UPDATE_GOLDEN=1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +37,8 @@ using namespace irlt;
 
 namespace {
 
-std::string goldenPath() {
-  return std::string(IRLT_DEPS_DATA_DIR) + "/generated_depsets.golden";
+std::string goldenPath(const char *Name) {
+  return std::string(IRLT_DEPS_DATA_DIR) + "/" + Name;
 }
 
 enum class Draw { Cold, Triangular3, Overflow };
@@ -71,7 +73,9 @@ struct Line {
   std::string Source;
 };
 
-std::vector<Line> computeLines() {
+/// One line per corpus nest: its tag and index, then what \p Describe
+/// makes of the parsed nest.
+template <typename Fn> std::vector<Line> computeLines(Fn Describe) {
   std::vector<Line> Out;
   for (const Section &S : Sections) {
     for (unsigned I = 0; I < S.Count; ++I) {
@@ -81,30 +85,27 @@ std::vector<Line> computeLines() {
       if (!Parsed)
         continue;
       LoopNest Nest = Parsed.take();
-      deps::DepResult Fast = deps::pipelineOracle().analyze(Nest);
-      deps::DepResult Exact = deps::fmExactOracle().analyze(Nest);
-      std::string FastStr = Fast.Deps.str();
-      std::string ExactStr = Exact.Deps.str();
-      Out.push_back({std::string(S.Tag) + std::to_string(I) + "\t" + FastStr +
-                         "\t" + (Fast.Overflowed ? "1" : "0") + "\t" +
-                         (ExactStr == FastStr ? "=" : ExactStr),
-                     Src});
+      Out.push_back(
+          {std::string(S.Tag) + std::to_string(I) + "\t" + Describe(Nest),
+           Src});
     }
   }
   return Out;
 }
 
-TEST(DepsetGolden, GeneratedNests) {
-  std::vector<Line> Got = computeLines();
+/// Compares \p Got with the golden file \p Name, or rewrites the file
+/// under IRLT_UPDATE_GOLDEN=1.
+void expectGolden(const char *Name, const std::vector<Line> &Got) {
+  std::string Path = goldenPath(Name);
   if (const char *U = std::getenv("IRLT_UPDATE_GOLDEN"); U && *U == '1') {
-    std::ofstream OutF(goldenPath(), std::ios::binary);
+    std::ofstream OutF(Path, std::ios::binary);
     for (const Line &L : Got)
       OutF << L.Text << "\n";
-    ASSERT_TRUE(OutF.good()) << goldenPath();
-    GTEST_SKIP() << "rewrote " << goldenPath();
+    ASSERT_TRUE(OutF.good()) << Path;
+    GTEST_SKIP() << "rewrote " << Path;
   }
-  std::ifstream In(goldenPath(), std::ios::binary);
-  ASSERT_TRUE(In) << "missing " << goldenPath()
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In) << "missing " << Path
                   << " (regenerate with IRLT_UPDATE_GOLDEN=1)";
   std::vector<std::string> Want;
   for (std::string S; std::getline(In, S);)
@@ -118,6 +119,40 @@ TEST(DepsetGolden, GeneratedNests) {
     ADD_FAILURE() << "want: " << Want[I] << "\n got: " << Got[I].Text << "\n"
                   << Got[I].Source;
   }
+}
+
+TEST(DepsetGolden, GeneratedNests) {
+  expectGolden("generated_depsets.golden",
+               computeLines([](const LoopNest &Nest) {
+                 deps::DepResult Fast = deps::pipelineOracle().analyze(Nest);
+                 deps::DepResult Exact = deps::fmExactOracle().analyze(Nest);
+                 std::string FastStr = Fast.Deps.str();
+                 std::string ExactStr = Exact.Deps.str();
+                 return FastStr + "\t" + (Fast.Overflowed ? "1" : "0") +
+                        "\t" + (ExactStr == FastStr ? "=" : ExactStr);
+               }));
+}
+
+TEST(DepsetGolden, GeneratedProvenance) {
+  // One item per ordered reference pair, in visit order: the array, the
+  // source and target occurrences (w = write, r = read), the deciding
+  // test, i when independent, x when exact, and the vector count.
+  expectGolden("generated_provenance.golden",
+               computeLines([](const LoopNest &Nest) {
+                 std::string S;
+                 for (const DepPairInfo &P :
+                      deps::pipelineOracle().analyze(Nest).Pairs) {
+                   if (!S.empty())
+                     S += ";";
+                   S += P.Array + " " + std::to_string(P.SrcOcc) +
+                        (P.SrcIsWrite ? "w " : "r ") +
+                        std::to_string(P.DstOcc) + (P.DstIsWrite ? "w " : "r ") +
+                        depDecisionName(P.Decided) + " " +
+                        (P.Independent ? "i" : "-") + (P.Exact ? "x " : "- ") +
+                        std::to_string(P.NumVectors);
+                 }
+                 return S;
+               }));
 }
 
 } // namespace
