@@ -12,6 +12,7 @@
 
 #include <cassert>
 #include <map>
+#include <optional>
 
 using namespace irlt;
 
@@ -36,6 +37,16 @@ bool deptest::gcdFeasible(const std::vector<int64_t> &Coefs, int64_t C0) {
 
 namespace {
 
+/// Same array, and subscripts equal dimension by dimension as trees.
+bool sameSubscripts(const irlt::ArrayRef &A, const irlt::ArrayRef &B) {
+  if (A.Array != B.Array || A.Subscripts.size() != B.Subscripts.size())
+    return false;
+  for (size_t D = 0; D < A.Subscripts.size(); ++D)
+    if (!A.Subscripts[D]->equals(*B.Subscripts[D]))
+      return false;
+  return true;
+}
+
 /// One array reference occurrence in the body.
 struct RefOcc {
   const irlt::ArrayRef *Ref;
@@ -45,6 +56,15 @@ struct RefOcc {
 
 /// Per-level direction states during hierarchical refinement.
 enum class DirState { Eq, Gt, Lt };
+
+/// What one ordered reference pair contributed: the DepPairInfo fields
+/// that do not name the pair.
+struct PairOutcome {
+  DepDecision Decided = DepDecision::FM;
+  bool Independent = false;
+  bool Exact = false;
+  unsigned NumVectors = 0;
+};
 
 /// Shared analysis context for one loop nest.
 class Analyzer {
@@ -56,13 +76,13 @@ public:
   DepSet run();
 
 private:
-  // Variable layout in FM systems:
-  //   [0, N)        source iteration I (index values)
-  //   [N, 2N)       target iteration J (index values)
-  //   [2N, 2N+M)    invariant symbolic atoms (n, block sizes, ...)
-  //   [2N+M, 3N+M)  difference variables d_k
-  //   [3N+M, 4N+M)  source trip counters cI_k (strided loops only)
-  //   [4N+M, 5N+M)  target trip counters cJ_k (strided loops only)
+  // Variable layout in FM systems, with M symbols and S strided loops:
+  //   [0, N)             source iteration I (index values)
+  //   [N, 2N)            target iteration J (index values)
+  //   [2N, 2N+M)         invariant symbolic atoms (n, block sizes, ...)
+  //   [2N+M, 3N+M)       difference variables d_k
+  //   [3N+M, 3N+M+S)     source trip counters cI_k of the strided loops
+  //   [3N+M+S, 3N+M+2S)  target trip counters cJ_k of the strided loops
   //
   // d_k is measured in the units transformations act on (the normalized
   // "hat" space of Section 4): for a unit-step loop d_k = J_k - I_k, and
@@ -72,9 +92,13 @@ private:
   unsigned varI(unsigned K) const { return K; }
   unsigned varJ(unsigned K) const { return N + K; }
   unsigned varD(unsigned K) const { return 2 * N + NumSyms + K; }
-  unsigned varCI(unsigned K) const { return 3 * N + NumSyms + K; }
-  unsigned varCJ(unsigned K) const { return 4 * N + NumSyms + K; }
-  unsigned totalVars() const { return 5 * N + NumSyms; }
+  unsigned varCI(unsigned K) const {
+    return 3 * N + NumSyms + Strides[K].Slot;
+  }
+  unsigned varCJ(unsigned K) const {
+    return 3 * N + NumSyms + NumStrided + Strides[K].Slot;
+  }
+  unsigned totalVars() const { return 3 * N + NumSyms + 2 * NumStrided; }
 
   /// Registers invariant atoms of \p L into the symbol table; returns
   /// false if \p L has an atom containing an index variable (nonlinear).
@@ -89,9 +113,9 @@ private:
   /// Adds the loop-bound constraints for one side (source or target).
   void addBoundConstraints(FMSystem &Sys, bool TargetSide) const;
 
-  /// Analyzes one ordered reference pair; inserts resulting vectors and
-  /// records provenance when enabled.
-  void analyzePair(const RefOcc &A, const RefOcc &B, DepSet &Out);
+  /// Analyzes one ordered reference pair; inserts its vectors into
+  /// \p Out and reports what it contributed.
+  PairOutcome analyzePair(const RefOcc &A, const RefOcc &B, DepSet &Out);
 
   /// The pair analysis proper: fills \p Out with this pair's vectors and
   /// reports which test decided.
@@ -100,9 +124,10 @@ private:
   /// Emits the fully-conservative vector family (0,..,0,+,*,..,*).
   void emitConservative(DepSet &Out) const;
 
-  /// Hierarchical refinement over direction states.
-  void refine(FMSystem &Sys, std::vector<DirState> &Prefix, bool SeenGt,
-              DepSet &Out);
+  /// Hierarchical refinement over direction states; d_k is column
+  /// \p D0 + k of \p Sys, which tryState() has found feasible.
+  void refine(const FMSystem &Sys, unsigned D0, std::vector<DirState> &Prefix,
+              bool SeenGt, DepSet &Out);
 
   const LoopNest &Nest;
   const DepAnalysisOptions &Opts;
@@ -131,8 +156,10 @@ private:
     int64_t Step = 1;          // valid unless Opaque
     LinExpr Start;             // single affine start bound (Strided only)
     std::vector<LinExpr> Ends; // end pieces: s>0: x <= E; s<0: x >= E
+    unsigned Slot = 0;         // trip-counter slot (Strided only)
   };
   std::vector<StrideInfo> Strides;
+  unsigned NumStrided = 0;
 };
 
 bool Analyzer::registerAtoms(const LinExpr &L) {
@@ -255,14 +282,13 @@ void Analyzer::emitConservative(DepSet &Out) const {
   }
 }
 
-void Analyzer::refine(FMSystem &Sys, std::vector<DirState> &Prefix,
-                      bool SeenGt, DepSet &Out) {
+void Analyzer::refine(const FMSystem &Sys, unsigned D0,
+                      std::vector<DirState> &Prefix, bool SeenGt,
+                      DepSet &Out) {
   unsigned Level = static_cast<unsigned>(Prefix.size());
   if (Level == N) {
     if (!SeenGt)
       return; // all-equal: no cross-iteration dependence
-    if (!Sys.feasible())
-      return;
     std::vector<DepElem> Elems;
     Elems.reserve(N);
     for (unsigned K = 0; K < N; ++K) {
@@ -275,7 +301,7 @@ void Analyzer::refine(FMSystem &Sys, std::vector<DirState> &Prefix,
         DepElem E =
             Prefix[K] == DirState::Gt ? DepElem::pos() : DepElem::neg();
         if (Opts.RefineDistances) {
-          VarRange R = Sys.rangeOf(varD(K));
+          VarRange R = Sys.rangeOf(D0 + K);
           if (R.Feasible && R.Lo && R.Hi && *R.Lo == *R.Hi &&
               R.Lo->isInteger())
             E = DepElem::distance(R.Lo->num());
@@ -291,8 +317,8 @@ void Analyzer::refine(FMSystem &Sys, std::vector<DirState> &Prefix,
 
   auto tryState = [&](DirState S) {
     FMSystem Child = Sys;
-    std::vector<int64_t> Coef(totalVars(), 0);
-    Coef[varD(Level)] = 1;
+    std::vector<int64_t> Coef(Sys.numVars(), 0);
+    Coef[D0 + Level] = 1;
     switch (S) {
     case DirState::Eq:
       Child.addEQ(Coef, 0);
@@ -307,7 +333,7 @@ void Analyzer::refine(FMSystem &Sys, std::vector<DirState> &Prefix,
     if (!Child.feasible())
       return; // prune the whole subtree
     Prefix.push_back(S);
-    refine(Child, Prefix, SeenGt || S == DirState::Gt, Out);
+    refine(Child, D0, Prefix, SeenGt || S == DirState::Gt, Out);
     Prefix.pop_back();
   };
 
@@ -317,29 +343,21 @@ void Analyzer::refine(FMSystem &Sys, std::vector<DirState> &Prefix,
     tryState(DirState::Lt); // lex-non-negative prefixes only
 }
 
-void Analyzer::analyzePair(const RefOcc &A, const RefOcc &B, DepSet &Out) {
+PairOutcome Analyzer::analyzePair(const RefOcc &A, const RefOcc &B,
+                                  DepSet &Out) {
   // Analyze into a local set so the pair's own contribution is visible
   // for provenance; DepSet insertion is canonical (sorted, deduplicated),
   // so merging per-pair sets yields the same set as direct insertion.
   DepSet Local;
-  DepDecision Decided = analyzePairImpl(A, B, Local);
-  if (Prov) {
-    DepPairInfo I;
-    I.Array = A.Ref->Array;
-    I.SrcOcc = A.Index;
-    I.DstOcc = B.Index;
-    I.SrcIsWrite = A.IsWrite;
-    I.DstIsWrite = B.IsWrite;
-    I.Decided = Decided;
-    I.NumVectors = static_cast<unsigned>(Local.size());
-    I.Independent = Local.empty();
-    bool AllDist = !Local.empty();
-    for (const DepVector &V : Local.vectors())
-      AllDist = AllDist && V.allDistances();
-    I.Exact = AllDist;
-    Prov->push_back(std::move(I));
-  }
+  PairOutcome O;
+  O.Decided = analyzePairImpl(A, B, Local);
+  O.NumVectors = static_cast<unsigned>(Local.size());
+  O.Independent = Local.empty();
+  O.Exact = !Local.empty();
+  for (const DepVector &V : Local.vectors())
+    O.Exact = O.Exact && V.allDistances();
   Out.insertAll(Local.vectors());
+  return O;
 }
 
 DepDecision Analyzer::analyzePairImpl(const RefOcc &A, const RefOcc &B,
@@ -437,10 +455,14 @@ DepDecision Analyzer::analyzePairImpl(const RefOcc &A, const RefOcc &B,
   // Every refinement node adds at most 2N rows, all over the d columns,
   // and the source, target and symbol eliminations never pair those
   // rows; so each node can start from one shared elimination of those
-  // columns and take exactly the steps it would take from Sys.
+  // columns and take exactly the steps it would take from Sys, over the
+  // d and trip-counter columns alone (d_k at column k).
   std::optional<FMSystem> Shared = Sys.eliminatedBelow(varD(0), 2 * N);
   std::vector<DirState> Prefix;
-  refine(Shared ? *Shared : Sys, Prefix, /*SeenGt=*/false, Out);
+  if (Shared)
+    refine(*Shared, 0, Prefix, /*SeenGt=*/false, Out);
+  else
+    refine(Sys, varD(0), Prefix, /*SeenGt=*/false, Out);
   return DepDecision::FM;
 }
 
@@ -485,6 +507,7 @@ DepSet Analyzer::run() {
         StrideInfo &SI = Strides[K];
         SI.K = StrideInfo::Kind::Strided;
         SI.Step = *StepC;
+        SI.Slot = NumStrided++;
         SI.Start = std::move(Start);
         gatherTerms(L.Upper, *StepC > 0 ? Expr::Kind::Min : Expr::Kind::Max,
                     SI.Ends);
@@ -505,6 +528,24 @@ DepSet Analyzer::run() {
   for (const irlt::ArrayRef &R : Reads)
     Occs.push_back(RefOcc{&R, false, static_cast<unsigned>(Occs.size())});
 
+  // Pair classes: an occurrence joins the class of the first earlier
+  // occurrence whose subscripts are structurally equal. A pair's analysis
+  // reads nothing but the two subscript lists (and the nest), and the
+  // first pair of two classes registers every atom a later one would; so
+  // each ordered pair of classes is analyzed once, at its first pair, and
+  // its outcome stands for every other pair of those classes.
+  size_t NumOccs = Occs.size();
+  std::vector<unsigned> Class(NumOccs);
+  for (unsigned I = 0; I < NumOccs; ++I) {
+    Class[I] = I;
+    for (unsigned J = 0; J < I; ++J)
+      if (sameSubscripts(*Occs[J].Ref, *Occs[I].Ref)) {
+        Class[I] = J;
+        break;
+      }
+  }
+  std::vector<std::optional<PairOutcome>> Outcomes(NumOccs * NumOccs);
+
   DepSet Out;
   for (const RefOcc &A : Occs)
     for (const RefOcc &B : Occs) {
@@ -512,7 +553,23 @@ DepSet Analyzer::run() {
         continue;
       if (A.Ref->Array != B.Ref->Array)
         continue;
-      analyzePair(A, B, Out);
+      std::optional<PairOutcome> &O =
+          Outcomes[Class[A.Index] * NumOccs + Class[B.Index]];
+      if (!O)
+        O = analyzePair(A, B, Out);
+      if (Prov) {
+        DepPairInfo I;
+        I.Array = A.Ref->Array;
+        I.SrcOcc = A.Index;
+        I.DstOcc = B.Index;
+        I.SrcIsWrite = A.IsWrite;
+        I.DstIsWrite = B.IsWrite;
+        I.Decided = O->Decided;
+        I.Independent = O->Independent;
+        I.Exact = O->Exact;
+        I.NumVectors = O->NumVectors;
+        Prov->push_back(std::move(I));
+      }
     }
   return Out;
 }

@@ -104,9 +104,10 @@ Scratch &threadScratch() {
 class Eliminator {
 public:
   Eliminator(const std::vector<int64_t> &Data, unsigned NumVars,
-             bool IntegerVars, bool Sorted)
+             bool IntegerVars, bool Sorted, bool ZeroStepFirst)
       : S(threadScratch()), NumVars(NumVars), W(NumVars + 1),
-        IntegerVars(IntegerVars), Sorted(Sorted) {
+        IntegerVars(IntegerVars), Sorted(Sorted),
+        ZeroStepFirst(ZeroStepFirst) {
     assert(!S.InUse && "nested FM queries on one thread");
     S.InUse = true;
     S.Rows.assign(Data.begin(), Data.end());
@@ -128,9 +129,13 @@ public:
   /// OverflowGuard); callers must fall back conservatively.
   ElimResult eliminate(unsigned Var, size_t Margin = 0);
 
+  /// A query's steps: with ZeroStepFirst the step an all-zero column
+  /// takes, then x0 .. x(End-1) but \p Skip, stopping at the first step
+  /// that does not return Ok.
+  ElimResult run(unsigned End, unsigned Skip, size_t Margin = 0);
+
   size_t numRows() const { return S.Rows.size() / W; }
   const int64_t *row(size_t I) const { return S.Rows.data() + I * W; }
-  const std::vector<int64_t> &rows() const { return S.Rows; }
   bool sorted() const { return Sorted; }
 
 private:
@@ -140,11 +145,16 @@ private:
   /// combined rows need sorting before the merge.
   void canonicalize(size_t NumRest);
 
+  /// The step of a column no row uses: it pairs nothing, so it only
+  /// checks the row count and sorts and deduplicates the rows.
+  ElimResult zeroStep(size_t Margin);
+
   Scratch &S;
   unsigned NumVars;
   unsigned W; // NumVars coefficients and the rhs
   bool IntegerVars;
   bool Sorted;
+  bool ZeroStepFirst;
 };
 
 ElimResult Eliminator::eliminate(unsigned Var, size_t Margin) {
@@ -200,6 +210,27 @@ ElimResult Eliminator::eliminate(unsigned Var, size_t Margin) {
     }
   }
   canonicalize(NumRest);
+  return ElimResult::Ok;
+}
+
+ElimResult Eliminator::zeroStep(size_t Margin) {
+  if (numRows() + Margin > RowCap)
+    return ElimResult::Overflow;
+  if (!Sorted) {
+    S.Next.swap(S.Rows);
+    canonicalize(0);
+  }
+  return ElimResult::Ok;
+}
+
+ElimResult Eliminator::run(unsigned End, unsigned Skip, size_t Margin) {
+  if (ZeroStepFirst)
+    if (ElimResult R = zeroStep(Margin); R != ElimResult::Ok)
+      return R;
+  for (unsigned V = 0; V < End; ++V)
+    if (V != Skip)
+      if (ElimResult R = eliminate(V, Margin); R != ElimResult::Ok)
+        return R;
   return ElimResult::Ok;
 }
 
@@ -268,37 +299,25 @@ void FMSystem::fixVar(unsigned Var, int64_t Value) {
 bool FMSystem::feasible() const {
   if (HardInfeasible)
     return false;
-  Eliminator E(Data, NumVars, IntegerVars, Sorted);
-  for (unsigned V = 0; V < NumVars; ++V) {
-    switch (E.eliminate(V)) {
-    case ElimResult::Contradiction:
-      return false;
-    case ElimResult::Overflow:
-      return true; // unknown: conservative for every caller
-    case ElimResult::Ok:
-      break;
-    }
-  }
-  return true; // only tautological constant rows remained
+  Eliminator E(Data, NumVars, IntegerVars, Sorted, ZeroStepFirst);
+  // Overflow is unknown, which is conservative ("feasible") for every
+  // caller; Ok leaves only tautological constant rows.
+  return E.run(NumVars, NumVars) != ElimResult::Contradiction;
 }
 
 VarRange FMSystem::rangeOf(unsigned Var) const {
   VarRange Out;
   if (HardInfeasible)
     return Out;
-  Eliminator E(Data, NumVars, IntegerVars, Sorted);
-  for (unsigned V = 0; V < NumVars; ++V) {
-    if (V == Var)
-      continue;
-    switch (E.eliminate(V)) {
-    case ElimResult::Contradiction:
-      return Out;
-    case ElimResult::Overflow:
-      Out.Feasible = true; // unknown: report an unbounded range
-      return Out;
-    case ElimResult::Ok:
-      break;
-    }
+  Eliminator E(Data, NumVars, IntegerVars, Sorted, ZeroStepFirst);
+  switch (E.run(NumVars, Var)) {
+  case ElimResult::Contradiction:
+    return Out;
+  case ElimResult::Overflow:
+    Out.Feasible = true; // unknown: report an unbounded range
+    return Out;
+  case ElimResult::Ok:
+    break;
   }
   Out.Feasible = true;
   for (size_t I = 0; I < E.numRows(); ++I) {
@@ -322,7 +341,10 @@ VarRange FMSystem::rangeOf(unsigned Var) const {
 std::optional<FMSystem> FMSystem::eliminatedBelow(unsigned K,
                                                   size_t Margin) const {
   assert(K <= NumVars && "eliminating past the last variable");
-  FMSystem Out(NumVars, IntegerVars);
+  FMSystem Out(NumVars - K, IntegerVars);
+  // The steps of x0 .. x(K-1), which the result no longer has, leave a
+  // zero column's step in front of every query (see ZeroStepFirst).
+  Out.ZeroStepFirst = ZeroStepFirst || K > 0;
   Out.HardInfeasible = HardInfeasible;
   if (HardInfeasible)
     return Out;
@@ -335,17 +357,23 @@ std::optional<FMSystem> FMSystem::eliminatedBelow(unsigned K,
     Watch.emplace();
   bool Usable = true;
   {
-    Eliminator E(Data, NumVars, IntegerVars, Sorted);
-    for (unsigned V = 0; V < K && Usable && !Out.HardInfeasible; ++V) {
-      ElimResult R = E.eliminate(V, Margin);
-      if (R == ElimResult::Overflow)
-        Usable = false;
-      else if (R == ElimResult::Contradiction)
-        Out.HardInfeasible = true;
-    }
-    if (Usable && !Out.HardInfeasible) {
-      Out.Data = E.rows();
+    Eliminator E(Data, NumVars, IntegerVars, Sorted, ZeroStepFirst);
+    switch (E.run(K, K, Margin)) {
+    case ElimResult::Overflow:
+      Usable = false;
+      break;
+    case ElimResult::Contradiction:
+      Out.HardInfeasible = true;
+      break;
+    case ElimResult::Ok: {
+      // Every row left is zero on x0 .. x(K-1): keep the columns after.
+      unsigned W = NumVars + 1;
+      Out.Data.reserve(E.numRows() * (W - K));
+      for (size_t I = 0; I < E.numRows(); ++I)
+        Out.Data.insert(Out.Data.end(), E.row(I) + K, E.row(I) + W);
       Out.Sorted = E.sorted();
+      break;
+    }
     }
   }
   if (Watch && Watch->triggered()) {

@@ -13,15 +13,18 @@
 /// It also computes variable ranges, which the analyzer uses to refine
 /// direction entries into exact distances.
 ///
-/// The engine (docs/DEPENDENCE.md, "FM engine"): rows live in one flat
-/// int64 buffer, each row its coefficients followed by its right-hand
-/// side. Queries eliminate x0, x1, ... in order inside a per-thread
-/// scratch buffer, of which at most 64 KiB is kept between calls. Each
-/// step pairs every lower-bound row with every upper-bound row in row
-/// order and leaves the rows sorted and deduplicated; a step whose
+/// The engine (docs/DEPENDENCE.md, "The FM engine"): rows live in one
+/// flat int64 buffer, each row its coefficients followed by its
+/// right-hand side. Queries eliminate x0, x1, ... in order inside a
+/// per-thread scratch buffer, of which at most 64 KiB is kept between
+/// calls. Each step pairs every lower-bound row with every upper-bound row
+/// in row order and leaves the rows sorted and deduplicated; a step whose
 /// pairing would exceed 2,000 rows stops the query with a conservative
 /// answer. eliminatedBelow() runs a prefix of those steps once for
-/// callers that query many extensions of one system.
+/// callers that query many extensions of one system, and hands back only
+/// the columns those steps leave: the analyzer refines every direction
+/// over the distance columns (and the trip counters of strided loops)
+/// alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,13 +87,20 @@ public:
   VarRange rangeOf(unsigned Var) const;
 
   /// This system after the first \p K elimination steps (x0 .. x(K-1)),
-  /// run once exactly as feasible() and rangeOf() run them. For any rows
-  /// R, at most \p Margin of them, none with a nonzero coefficient on
-  /// x0 .. x(K-1), the result plus R answers feasible() and rangeOf(v),
-  /// v >= K, exactly as this system plus R does, OverflowGuard trips
-  /// included: R never pairs in those steps and only adds to their row
-  /// counts. \returns nullopt when that cannot be promised: some step's
-  /// row count plus \p Margin exceeds the 2,000-row cap (that step is
+  /// run once exactly as feasible() and rangeOf() run them, over the
+  /// columns those steps leave: x_K, x_(K+1), ... renumbered from 0, so
+  /// the result has numVars() - K variables. For any rows R, at most
+  /// \p Margin of them, none with a nonzero coefficient on x0 .. x(K-1),
+  /// the result plus R (R's coefficients on x_K and after) answers
+  /// feasible() and rangeOf(v - K), v >= K, exactly as this system plus
+  /// R answers feasible() and rangeOf(v), OverflowGuard trips included:
+  /// R never pairs in those steps and only adds to their row counts.
+  /// Added rows reach this system's first query unsorted, and its first
+  /// step, even on a column no row uses, sorts and deduplicates them
+  /// before any later step pairs; so every query of the result (and of
+  /// its copies) takes that zero-column step before its first pairing.
+  /// \returns nullopt when the promise cannot be kept: some step's row
+  /// count plus \p Margin exceeds the 2,000-row cap (that step is
   /// refused before it pairs, so it trips no guard), or a step's
   /// arithmetic saturated (the trip is passed on to the caller's guard).
   std::optional<FMSystem> eliminatedBelow(unsigned K, size_t Margin) const;
@@ -103,6 +113,9 @@ private:
   bool IntegerVars;
   bool Sorted = false;         // rows sorted and unique (after any step)
   bool HardInfeasible = false; // a contradiction was added directly
+  // Narrowed by eliminatedBelow(): queries first take the step of an
+  // eliminated (now all-zero) column.
+  bool ZeroStepFirst = false;
 };
 
 } // namespace irlt

@@ -401,8 +401,8 @@ std::string rangeStr(const VarRange &V) {
   return S;
 }
 
-/// Every answer \p S gives - feasible() and rangeOf(v) for v >= \p From -
-/// each with whether it tripped an OverflowGuard.
+/// Every answer \p S gives - feasible() and rangeOf(v) for v >= \p From,
+/// labelled v - From - each with whether it tripped an OverflowGuard.
 template <typename Sys>
 std::vector<std::string> queries(const Sys &S, unsigned From = 0) {
   std::vector<std::string> Out;
@@ -415,7 +415,7 @@ std::vector<std::string> queries(const Sys &S, unsigned From = 0) {
   for (unsigned V = From; V < S.numVars(); ++V) {
     OverflowGuard G;
     VarRange R = S.rangeOf(V);
-    Out.push_back("range x" + std::to_string(V) + " " + rangeStr(R) +
+    Out.push_back("range x" + std::to_string(V - From) + " " + rangeStr(R) +
                   " trip " + std::to_string(G.triggered()));
   }
   return Out;
@@ -545,12 +545,23 @@ Recipe makeLateRows(fuzz::Rng &R, const Recipe &Base, unsigned K,
   return Late;
 }
 
+/// \p Late over x_K and the columns after it: the rows as the shared
+/// result of eliminatedBelow(K, ...) takes them.
+Recipe narrowed(const Recipe &Late, unsigned K) {
+  Recipe Out = Late;
+  Out.NumVars -= K;
+  for (Op &O : Out.Ops)
+    O.Coef.erase(O.Coef.begin(), O.Coef.begin() + K);
+  return Out;
+}
+
 TEST(FMEquivalence, EliminatedBelowContract) {
   // For random S, K, Margin and late rows R (at most Margin, none over
   // x0 .. x(K-1)): S.eliminatedBelow(K, Margin) is refused exactly when
   // some step's count plus Margin passes the cap or a step tripped a
-  // guard, and otherwise S + R and the shared result + R agree on
-  // feasible(), rangeOf(v) for v >= K, and every guard trip.
+  // guard, and otherwise S + R and the shared result + R (over x_K and
+  // after, renumbered from 0) agree on feasible(), rangeOf(v) for v >= K
+  // (the shared result's v - K), and every guard trip.
   const Shape Shapes[] = {Shape::Sparse, Shape::Dense, Shape::Capped,
                           Shape::Extreme};
   unsigned Shared = 0, RefusedAtCap = 0, RefusedTripped = 0;
@@ -584,9 +595,10 @@ TEST(FMEquivalence, EliminatedBelowContract) {
     ++Shared;
     RefFMSystem RefFull = Ref;
     replay(Late, RefFull);
-    replay(Late, *E);
+    ASSERT_EQ(E->numVars(), Base.NumVars - K) << "case " << Case;
+    replay(narrowed(Late, K), *E);
     std::vector<std::string> Want = queries(RefFull, K);
-    ASSERT_EQ(Want, queries(*E, K))
+    ASSERT_EQ(Want, queries(*E))
         << "case " << Case << " K " << K << "\n"
         << Base.str() << "late rows:\n"
         << Late.str();
@@ -615,12 +627,20 @@ TEST(FMEquivalence, EliminatedBelowMarginAtTheCap) {
   EXPECT_FALSE(S.feasible());
   // Two late rows keep the count at the cap; a third passes it, and the
   // full system's first step then overflows and answers "feasible"
-  // (unknown), which a shared elimination would not.
+  // (unknown), which a shared elimination would not. The late rows are
+  // over x1 and x2, which the shared result has at columns 0 and 1.
   auto late = [](auto &Sys, unsigned Rows) {
-    Sys.addLE({0, 1, 0}, 100);
-    Sys.addLE({0, 0, 1}, 7);
+    unsigned From = Sys.numVars() == 3 ? 1 : 0;
+    auto over = [&](int64_t C1, int64_t C2) {
+      std::vector<int64_t> Coef(Sys.numVars(), 0);
+      Coef[From] = C1;
+      Coef[From + 1] = C2;
+      return Coef;
+    };
+    Sys.addLE(over(1, 0), 100);
+    Sys.addLE(over(0, 1), 7);
     if (Rows == 3)
-      Sys.addGE({0, 1, 0}, -100);
+      Sys.addGE(over(1, 0), -100);
   };
   for (unsigned Rows : {2u, 3u}) {
     std::optional<FMSystem> E = S.eliminatedBelow(1, Rows);
@@ -629,8 +649,9 @@ TEST(FMEquivalence, EliminatedBelowMarginAtTheCap) {
     EXPECT_EQ(RefFull.feasible(), Rows == 3) << Rows;
     ASSERT_EQ(E.has_value(), Rows == 2) << Rows;
     if (E) {
+      ASSERT_EQ(E->numVars(), 2u);
       late(*E, Rows);
-      EXPECT_EQ(queries(*E, 1), queries(RefFull, 1));
+      EXPECT_EQ(queries(*E), queries(RefFull, 1));
     }
   }
 
