@@ -9,7 +9,9 @@
 #include "support/Casting.h"
 #include "support/MathUtils.h"
 
+#include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 using namespace irlt;
 
@@ -338,11 +340,11 @@ ExprRef irlt::simplify(const ExprRef &E) {
     std::vector<ExprRef> Ops;
     std::optional<int64_t> ConstAcc;
     std::optional<size_t> ConstPos; // keep the first constant's position
-    // The duplicate scan is pairwise, and the bounds SymbolicFM generates
-    // can carry thousands of operands. It compares structural hashes
-    // first (equal trees hash equal), so only operands with equal hashes
-    // pay for the full tree comparison.
-    std::vector<uint64_t> OpHashes; // structural hashes of Ops
+    // The bounds SymbolicFM generates can carry thousands of operands, so
+    // the duplicate scan indexes the kept ones by structural hash (equal
+    // trees hash equal): only operands with equal hashes pay for the full
+    // tree comparison.
+    std::unordered_multimap<uint64_t, size_t> Kept; // hash -> index in Ops
     // Flatten nested same-kind nodes, fold constants, drop duplicates.
     std::vector<ExprRef> Work(M->operands().begin(), M->operands().end());
     for (size_t I = 0; I < Work.size(); ++I) {
@@ -363,12 +365,12 @@ ExprRef irlt::simplify(const ExprRef &E) {
         continue;
       }
       uint64_t H = Op->structuralHash();
-      bool Dup = false;
-      for (size_t K = 0; K < Ops.size() && !Dup; ++K)
-        Dup = OpHashes[K] == H && Ops[K]->equals(*Op);
-      if (!Dup) {
+      auto [First, Last] = Kept.equal_range(H);
+      if (std::none_of(First, Last, [&](const auto &Entry) {
+            return Ops[Entry.second]->equals(*Op);
+          })) {
+        Kept.emplace(H, Ops.size());
         Ops.push_back(Op);
-        OpHashes.push_back(H);
       }
     }
     if (ConstAcc)
