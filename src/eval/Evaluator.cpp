@@ -107,7 +107,12 @@ private:
     int64_t St = L.Step->evaluate(*this);
     assert(St != 0 && "loop step evaluated to zero");
     int64_t Ordinal = 0;
-    for (int64_t X = Lo; St > 0 ? X <= Hi : X >= Hi; X += St) {
+    // The index steps with two's-complement wrap, as the cost model's
+    // stream does: past INT64_MAX it continues from INT64_MIN, and the
+    // loop ends on a budget.
+    for (int64_t X = Lo; St > 0 ? X <= Hi : X >= Hi;
+         X = static_cast<int64_t>(static_cast<uint64_t>(X) +
+                                  static_cast<uint64_t>(St))) {
       if (LimitHit)
         return;
       // Headers count against the budgets too: a huge loop over a

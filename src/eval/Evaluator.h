@@ -107,10 +107,12 @@ struct EvalConfig {
 };
 
 /// Runs \p Nest against \p Store. Built-in opaque functions: sqrt (integer
-/// square root), abs, sgn; arrays dispatch to the store. Asserts on
-/// unbound variables or unknown calls. When a budget in \p Config is
-/// exhausted the run stops early with EvalResult::LimitHit set; callers
-/// that need ground truth must check it.
+/// square root), abs, sgn; arrays dispatch to the store. An unbound
+/// variable, like division by zero, records on a live OverflowGuard and
+/// reads as 0 (and asserts without one); an unknown call asserts. Loop
+/// indices step with two's-complement wrap. When a budget in \p Config
+/// is exhausted the run stops early with EvalResult::LimitHit set;
+/// callers that need ground truth must check it.
 EvalResult evaluate(const LoopNest &Nest, const EvalConfig &Config,
                     ArrayStore &Store);
 

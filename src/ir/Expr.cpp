@@ -282,7 +282,13 @@ int64_t Expr::evaluate(const ExprEnv &Env) const {
     return cast<IntConstExpr>(this)->value();
   case Kind::Var: {
     std::optional<int64_t> V = Env.lookup(cast<VarExpr>(this)->name());
-    assert(V && "unbound variable in expression evaluation");
+    if (!V) {
+      // The OverflowGuard policy, as for division by zero: recorded on a
+      // live guard, read as 0.
+      [[maybe_unused]] bool Handled = OverflowGuard::record();
+      assert(Handled && "unbound variable in expression evaluation");
+      return 0;
+    }
     return *V;
   }
   case Kind::Add:

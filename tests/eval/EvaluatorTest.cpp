@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 using namespace irlt;
 
 namespace {
@@ -92,13 +94,15 @@ TEST(Evaluator, BuiltinFunctions) {
 }
 
 TEST(Evaluator, FaultsRecordOnTheGuard) {
-  // Division by zero, sqrt of a negative value and |INT64_MIN| record on
-  // the live guard and yield 0 (or saturate) instead of aborting.
+  // Division by zero, sqrt of a negative value, |INT64_MIN| and an
+  // unbound variable record on the live guard and yield 0 (or saturate)
+  // instead of aborting.
   const char *Faulting[] = {
       "arrays b, c\ndo i = 1, 2\n  a(i) = b(i) / c(i)\nenddo\n",
       "arrays b\ndo i = 1, 2\n  a(i) = mod(i, b(i))\nenddo\n",
       "arrays b\ndo i = 1, 2\n  a(i) = sqrt(b(i) - 1)\nenddo\n",
       "do i = 1, 2\n  a(i) = abs(0 - 9223372036854775807 - i)\nenddo\n",
+      "do i = 1, 2\n  a(i) = a(i) + q\nenddo\n",
   };
   for (const char *Src : Faulting) {
     LoopNest N = parse(Src);
@@ -115,6 +119,25 @@ TEST(Evaluator, FaultsRecordOnTheGuard) {
   OverflowGuard Guard;
   evaluate(N, C, S);
   EXPECT_EQ(S.read("a", {1}), 0);
+}
+
+TEST(Evaluator, IndexWrapsPastInt64MaxAndStopsAtTheBudget) {
+  // The index steps past INT64_MAX to INT64_MIN, which is still below the
+  // upper bound, so the loop runs on until the iteration budget stops it.
+  LoopNest N = parse("do i = 9223372036854775806, 9223372036854775807\n"
+                     "  a(1) = a(1) + 1\n"
+                     "enddo\n");
+  EvalConfig C;
+  C.MaxInstances = 1000;
+  ArrayStore S;
+  EvalResult R = evaluate(N, C, S);
+  EXPECT_TRUE(R.LimitHit);
+  ASSERT_GE(R.Instances.size(), 4u);
+  EXPECT_EQ(R.Instances[0], (std::vector<int64_t>{INT64_MAX - 1}));
+  EXPECT_EQ(R.Instances[1], (std::vector<int64_t>{INT64_MAX}));
+  EXPECT_EQ(R.Instances[2], (std::vector<int64_t>{INT64_MIN}));
+  EXPECT_EQ(R.Instances[3], (std::vector<int64_t>{INT64_MIN + 1}));
+  EXPECT_EQ(S.read("a", {1}), static_cast<int64_t>(R.Instances.size()));
 }
 
 TEST(Evaluator, AccessTraceWithOwners) {

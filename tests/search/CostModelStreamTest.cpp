@@ -554,19 +554,15 @@ TEST(CostModelStream, SweptOutcomesMatchInterpreter) {
   for (const char *Src : Partway)
     EXPECT_EQ(run(Src, opts(Src), "fault partway"), std::nullopt) << Src;
 
-  // An unbound variable faults where it runs. The interpreter cannot
-  // evaluate one at all, so only the stream's answer is checked where it
-  // does.
+  // An unbound variable faults where it runs.
   const char *Unbound = "do i = 1, n\n"
                         "  do j = i, 3\n"
                         "    a(i, j) = a(i, j) + q\n"
                         "  enddo\n"
                         "enddo\n";
-  LoopNest UnboundNest = parse(Unbound);
   CostModelOptions NoQ;
   NoQ.Params = {{"n", 8}};
-  CostModel UnboundModel(UnboundNest, NoQ);
-  EXPECT_EQ(UnboundModel.missRatio(Id, Id.str()), std::nullopt);
+  EXPECT_EQ(run(Unbound, NoQ, "unbound"), std::nullopt);
   NoQ.Params = {{"n", 0}};
   EXPECT_EQ(run(Unbound, NoQ, "unbound but never run"), 0.0);
 
@@ -594,16 +590,13 @@ TEST(CostModelStream, SweptOutcomesMatchInterpreter) {
   EXPECT_TRUE(
       run(NearMax, opts(NearMax), "index next to INT64_MAX").has_value());
   // Here it would wrap: the stream falls back to the per-iteration loop,
-  // which wraps like the interpreter and runs into the budget. The
-  // interpreter's own loop overflows a signed index there, so the answer
-  // is checked without it.
-  LoopNest Wraps = parse("do i = 1, n\n"
-                         "  do j = 9223372036854775806, 9223372036854775807\n"
-                         "    a(i) = a(i) + 1\n"
-                         "  enddo\n"
-                         "enddo\n");
-  CostModelOptions Small = smallOptions(Wraps);
+  // which wraps like the interpreter and runs into the budget.
+  const char *Wraps = "do i = 1, n\n"
+                      "  do j = 9223372036854775806, 9223372036854775807\n"
+                      "    a(i) = a(i) + 1\n"
+                      "  enddo\n"
+                      "enddo\n";
+  CostModelOptions Small = opts(Wraps);
   Small.MaxInstances = 1'000;
-  CostModel WrapModel(Wraps, Small);
-  EXPECT_EQ(WrapModel.missRatio(Id, Id.str()), std::nullopt);
+  EXPECT_EQ(run(Wraps, Small, "index wraps past INT64_MAX"), std::nullopt);
 }
