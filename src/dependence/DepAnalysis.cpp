@@ -57,15 +57,6 @@ struct RefOcc {
 /// Per-level direction states during hierarchical refinement.
 enum class DirState { Eq, Gt, Lt };
 
-/// What one ordered reference pair contributed: the DepPairInfo fields
-/// that do not name the pair.
-struct PairOutcome {
-  DepDecision Decided = DepDecision::FM;
-  bool Independent = false;
-  bool Exact = false;
-  unsigned NumVectors = 0;
-};
-
 /// Shared analysis context for one loop nest.
 class Analyzer {
 public:
@@ -113,9 +104,9 @@ private:
   /// Adds the loop-bound constraints for one side (source or target).
   void addBoundConstraints(FMSystem &Sys, bool TargetSide) const;
 
-  /// Analyzes one ordered reference pair; inserts its vectors into
-  /// \p Out and reports what it contributed.
-  PairOutcome analyzePair(const RefOcc &A, const RefOcc &B, DepSet &Out);
+  /// Analyzes one ordered reference pair: inserts its vectors into \p Out
+  /// and returns its provenance.
+  DepPairInfo analyzePair(const RefOcc &A, const RefOcc &B, DepSet &Out);
 
   /// The pair analysis proper: fills \p Out with this pair's vectors and
   /// reports which test decided.
@@ -343,21 +334,26 @@ void Analyzer::refine(const FMSystem &Sys, unsigned D0,
     tryState(DirState::Lt); // lex-non-negative prefixes only
 }
 
-PairOutcome Analyzer::analyzePair(const RefOcc &A, const RefOcc &B,
+DepPairInfo Analyzer::analyzePair(const RefOcc &A, const RefOcc &B,
                                   DepSet &Out) {
   // Analyze into a local set so the pair's own contribution is visible
   // for provenance; DepSet insertion is canonical (sorted, deduplicated),
   // so merging per-pair sets yields the same set as direct insertion.
   DepSet Local;
-  PairOutcome O;
-  O.Decided = analyzePairImpl(A, B, Local);
-  O.NumVectors = static_cast<unsigned>(Local.size());
-  O.Independent = Local.empty();
-  O.Exact = !Local.empty();
+  DepPairInfo I;
+  I.Array = A.Ref->Array;
+  I.SrcOcc = A.Index;
+  I.DstOcc = B.Index;
+  I.SrcIsWrite = A.IsWrite;
+  I.DstIsWrite = B.IsWrite;
+  I.Decided = analyzePairImpl(A, B, Local);
+  I.NumVectors = static_cast<unsigned>(Local.size());
+  I.Independent = Local.empty();
+  I.Exact = !Local.empty();
   for (const DepVector &V : Local.vectors())
-    O.Exact = O.Exact && V.allDistances();
+    I.Exact = I.Exact && V.allDistances();
   Out.insertAll(Local.vectors());
-  return O;
+  return I;
 }
 
 DepDecision Analyzer::analyzePairImpl(const RefOcc &A, const RefOcc &B,
@@ -533,7 +529,8 @@ DepSet Analyzer::run() {
   // reads nothing but the two subscript lists (and the nest), and the
   // first pair of two classes registers every atom a later one would; so
   // each ordered pair of classes is analyzed once, at its first pair, and
-  // its outcome stands for every other pair of those classes.
+  // its vectors and provenance stand for every other pair of those
+  // classes.
   size_t NumOccs = Occs.size();
   std::vector<unsigned> Class(NumOccs);
   for (unsigned I = 0; I < NumOccs; ++I) {
@@ -544,7 +541,7 @@ DepSet Analyzer::run() {
         break;
       }
   }
-  std::vector<std::optional<PairOutcome>> Outcomes(NumOccs * NumOccs);
+  std::vector<std::optional<DepPairInfo>> Analyzed(NumOccs * NumOccs);
 
   DepSet Out;
   for (const RefOcc &A : Occs)
@@ -553,21 +550,16 @@ DepSet Analyzer::run() {
         continue;
       if (A.Ref->Array != B.Ref->Array)
         continue;
-      std::optional<PairOutcome> &O =
-          Outcomes[Class[A.Index] * NumOccs + Class[B.Index]];
-      if (!O)
-        O = analyzePair(A, B, Out);
+      std::optional<DepPairInfo> &First =
+          Analyzed[Class[A.Index] * NumOccs + Class[B.Index]];
+      if (!First)
+        First = analyzePair(A, B, Out);
       if (Prov) {
-        DepPairInfo I;
-        I.Array = A.Ref->Array;
+        DepPairInfo I = *First;
         I.SrcOcc = A.Index;
         I.DstOcc = B.Index;
         I.SrcIsWrite = A.IsWrite;
         I.DstIsWrite = B.IsWrite;
-        I.Decided = O->Decided;
-        I.Independent = O->Independent;
-        I.Exact = O->Exact;
-        I.NumVectors = O->NumVectors;
         Prov->push_back(std::move(I));
       }
     }
