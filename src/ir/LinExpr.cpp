@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace irlt;
 
@@ -341,10 +340,11 @@ ExprRef irlt::simplify(const ExprRef &E) {
     std::optional<int64_t> ConstAcc;
     std::optional<size_t> ConstPos; // keep the first constant's position
     // The bounds SymbolicFM generates can carry thousands of operands, so
-    // the duplicate scan indexes the kept ones by structural hash (equal
-    // trees hash equal): only operands with equal hashes pay for the full
-    // tree comparison.
-    std::unordered_multimap<uint64_t, size_t> Kept; // hash -> index in Ops
+    // the duplicate scan finds kept operands by structural hash (equal
+    // trees hash equal) in an open-addressed table of their positions:
+    // only operands with equal hashes pay for the full tree comparison.
+    std::vector<uint64_t> OpHashes; // structural hashes of Ops
+    std::vector<uint32_t> Table(8); // 1 + a position in Ops, or 0 (free)
     // Flatten nested same-kind nodes, fold constants, drop duplicates.
     std::vector<ExprRef> Work(M->operands().begin(), M->operands().end());
     for (size_t I = 0; I < Work.size(); ++I) {
@@ -365,12 +365,25 @@ ExprRef irlt::simplify(const ExprRef &E) {
         continue;
       }
       uint64_t H = Op->structuralHash();
-      auto [First, Last] = Kept.equal_range(H);
-      if (std::none_of(First, Last, [&](const auto &Entry) {
-            return Ops[Entry.second]->equals(*Op);
-          })) {
-        Kept.emplace(H, Ops.size());
-        Ops.push_back(Op);
+      size_t Mask = Table.size() - 1, Slot = H & Mask;
+      bool Dup = false;
+      for (; Table[Slot] && !Dup; Slot = (Slot + 1) & Mask) {
+        uint32_t K = Table[Slot] - 1;
+        Dup = OpHashes[K] == H && Ops[K]->equals(*Op);
+      }
+      if (Dup)
+        continue;
+      Table[Slot] = static_cast<uint32_t>(Ops.size() + 1);
+      Ops.push_back(Op);
+      OpHashes.push_back(H);
+      if (2 * Ops.size() > Table.size()) { // keep at least half free
+        Table.assign(2 * Table.size(), 0);
+        for (uint32_t K = 0; K < Ops.size(); ++K) {
+          size_t S = OpHashes[K] & (Table.size() - 1);
+          while (Table[S])
+            S = (S + 1) & (Table.size() - 1);
+          Table[S] = K + 1;
+        }
       }
     }
     if (ConstAcc)
