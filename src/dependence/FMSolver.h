@@ -95,10 +95,9 @@ public:
   /// feasible() and rangeOf(v - K), v >= K, exactly as this system plus
   /// R answers feasible() and rangeOf(v), OverflowGuard trips included:
   /// R never pairs in those steps and only adds to their row counts.
-  /// Added rows reach this system's first query unsorted, and its first
-  /// step, even on a column no row uses, sorts and deduplicates them
-  /// before any later step pairs; so every query of the result (and of
-  /// its copies) takes that zero-column step before its first pairing.
+  /// In this system, a query's first step sorts and deduplicates R
+  /// before any later step pairs it; so every query of the result (and
+  /// of its copies) first takes that step, as on an all-zero column.
   /// \returns nullopt when the promise cannot be kept: some step's row
   /// count plus \p Margin exceeds the 2,000-row cap (that step is
   /// refused before it pairs, so it trips no guard), or a step's
