@@ -13,6 +13,8 @@
 #include <cassert>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 using namespace irlt;
 
@@ -37,9 +39,9 @@ bool deptest::gcdFeasible(const std::vector<int64_t> &Coefs, int64_t C0) {
 
 namespace {
 
-/// Same array, and subscripts equal dimension by dimension as trees.
+/// Subscripts equal dimension by dimension as trees.
 bool sameSubscripts(const irlt::ArrayRef &A, const irlt::ArrayRef &B) {
-  if (A.Array != B.Array || A.Subscripts.size() != B.Subscripts.size())
+  if (A.Subscripts.size() != B.Subscripts.size())
     return false;
   for (size_t D = 0; D < A.Subscripts.size(); ++D)
     if (!A.Subscripts[D]->equals(*B.Subscripts[D]))
@@ -452,11 +454,12 @@ DepDecision Analyzer::analyzePairImpl(const RefOcc &A, const RefOcc &B,
   // and the source, target and symbol eliminations never pair those
   // rows; so each node can start from one shared elimination of those
   // columns and take exactly the steps it would take from Sys, over the
-  // d and trip-counter columns alone (d_k at column k).
+  // last eliminated column (zero in every row) and the d and trip-counter
+  // columns alone (d_k at column 1 + k).
   std::optional<FMSystem> Shared = Sys.eliminatedBelow(varD(0), 2 * N);
   std::vector<DirState> Prefix;
   if (Shared)
-    refine(*Shared, 0, Prefix, /*SeenGt=*/false, Out);
+    refine(*Shared, 1, Prefix, /*SeenGt=*/false, Out);
   else
     refine(Sys, varD(0), Prefix, /*SeenGt=*/false, Out);
   return DepDecision::FM;
@@ -525,43 +528,52 @@ DepSet Analyzer::run() {
     Occs.push_back(RefOcc{&R, false, static_cast<unsigned>(Occs.size())});
 
   // Pair classes: an occurrence joins the class of the first earlier
-  // occurrence whose subscripts are structurally equal. A pair's analysis
-  // reads nothing but the two subscript lists (and the nest), and the
-  // first pair of two classes registers every atom a later one would; so
-  // each ordered pair of classes is analyzed once, at its first pair, and
-  // its vectors and provenance stand for every other pair of those
-  // classes.
+  // occurrence of its array whose subscripts are structurally equal. A
+  // pair's analysis reads nothing but the two subscript lists (and the
+  // nest), and the first pair of two classes registers every atom a later
+  // one would; so each ordered pair of classes is analyzed once, and its
+  // vectors and provenance stand for every other pair of those classes.
+  // That first pair is the pair of the two classes' first occurrences:
+  // writes come before reads, so a class holding a write starts with one.
   size_t NumOccs = Occs.size();
+  std::unordered_map<std::string_view, std::vector<unsigned>> OfArray;
   std::vector<unsigned> Class(NumOccs);
-  for (unsigned I = 0; I < NumOccs; ++I) {
-    Class[I] = I;
-    for (unsigned J = 0; J < I; ++J)
-      if (sameSubscripts(*Occs[J].Ref, *Occs[I].Ref)) {
-        Class[I] = J;
+  for (const RefOcc &O : Occs) {
+    std::vector<unsigned> &Same = OfArray[O.Ref->Array];
+    Class[O.Index] = O.Index;
+    for (unsigned J : Same)
+      if (sameSubscripts(*Occs[J].Ref, *O.Ref)) {
+        Class[O.Index] = J;
         break;
       }
+    Same.push_back(O.Index);
   }
-  std::vector<std::optional<DepPairInfo>> Analyzed(NumOccs * NumOccs);
+  // Where each analyzed class pair's entry sits in *Prov.
+  std::map<std::pair<unsigned, unsigned>, size_t> ProvAt;
 
   DepSet Out;
   for (const RefOcc &A : Occs)
-    for (const RefOcc &B : Occs) {
+    for (unsigned BIdx : OfArray.at(A.Ref->Array)) {
+      const RefOcc &B = Occs[BIdx];
       if (!A.IsWrite && !B.IsWrite)
         continue;
-      if (A.Ref->Array != B.Ref->Array)
+      std::pair<unsigned, unsigned> Classes{Class[A.Index], Class[B.Index]};
+      if (Classes == std::make_pair(A.Index, B.Index)) {
+        DepPairInfo I = analyzePair(A, B, Out);
+        if (Prov) {
+          ProvAt.emplace(Classes, Prov->size());
+          Prov->push_back(std::move(I));
+        }
         continue;
-      std::optional<DepPairInfo> &First =
-          Analyzed[Class[A.Index] * NumOccs + Class[B.Index]];
-      if (!First)
-        First = analyzePair(A, B, Out);
-      if (Prov) {
-        DepPairInfo I = *First;
-        I.SrcOcc = A.Index;
-        I.DstOcc = B.Index;
-        I.SrcIsWrite = A.IsWrite;
-        I.DstIsWrite = B.IsWrite;
-        Prov->push_back(std::move(I));
       }
+      if (!Prov)
+        continue;
+      DepPairInfo I = (*Prov)[ProvAt.at(Classes)];
+      I.SrcOcc = A.Index;
+      I.DstOcc = B.Index;
+      I.SrcIsWrite = A.IsWrite;
+      I.DstIsWrite = B.IsWrite;
+      Prov->push_back(std::move(I));
     }
   return Out;
 }

@@ -131,6 +131,54 @@ TEST(DepAnalysis, SymbolicOffsetsAnalyzeExactly) {
     EXPECT_FALSE(V.canBeLexNegative()) << V.str();
 }
 
+TEST(DepAnalysis, ThousandsOfArraysPairOnlyWithinEachArray) {
+  // 1,000 statements aK(i) = aK(i - 1) + aK(i - 1) + bK(i): 4,000
+  // occurrences on 2,000 arrays. Only the five ordered pairs on each aK
+  // are analyzed or recorded, the second read's two pairs replaying the
+  // first read's; no pair crosses arrays, and no bK is written.
+  const unsigned Stmts = 1000;
+  std::string Src = "arrays b0";
+  for (unsigned K = 1; K < Stmts; ++K)
+    Src += ", b" + std::to_string(K);
+  Src += "\ndo i = 1, n\n";
+  for (unsigned K = 0; K < Stmts; ++K) {
+    std::string A = "a" + std::to_string(K), B = "b" + std::to_string(K);
+    Src += "  " + A + "(i) = " + A + "(i - 1) + " + A + "(i - 1) + " + B +
+           "(i)\n";
+  }
+  Src += "enddo\n";
+  ErrorOr<LoopNest> N = parseLoopNest(Src);
+  ASSERT_TRUE(static_cast<bool>(N)) << N.message();
+  std::vector<DepPairInfo> Pairs;
+  DepSet D = analyzeDependences(*N, {}, Pairs);
+  EXPECT_EQ(D.str(), "{(1)}");
+  ASSERT_EQ(Pairs.size(), 5u * Stmts);
+
+  // Writes are occurrences 0 .. 999, then each statement's three reads.
+  auto expectPair = [&](size_t At, unsigned K, unsigned Src, unsigned Dst) {
+    const DepPairInfo &P = Pairs[At];
+    EXPECT_EQ(P.Array, "a" + std::to_string(K)) << At;
+    EXPECT_EQ(P.SrcOcc, Src) << At;
+    EXPECT_EQ(P.DstOcc, Dst) << At;
+    EXPECT_EQ(P.SrcIsWrite, Src < Stmts) << At;
+    EXPECT_EQ(P.DstIsWrite, Dst < Stmts) << At;
+    EXPECT_EQ(P.Decided, DepDecision::FM) << At;
+    // Only the write to a read one iteration later carries a vector.
+    bool Flow = Src < Stmts && Dst >= Stmts;
+    EXPECT_EQ(P.Independent, !Flow) << At;
+    EXPECT_EQ(P.Exact, Flow) << At;
+    EXPECT_EQ(P.NumVectors, Flow ? 1u : 0u) << At;
+  };
+  for (unsigned K = 0; K < Stmts; ++K) {
+    unsigned R1 = Stmts + 3 * K, R2 = R1 + 1;
+    expectPair(3 * K, K, K, K);
+    expectPair(3 * K + 1, K, K, R1);
+    expectPair(3 * K + 2, K, K, R2);
+    expectPair(3 * Stmts + 2 * K, K, R1, K);
+    expectPair(3 * Stmts + 2 * K + 1, K, R2, K);
+  }
+}
+
 TEST(DepAnalysis, MatchesGroundTruthOnConcreteRuns) {
   // The analyzer's set must cover every concretely observed dependence
   // distance (soundness against the evaluator's ground truth).
