@@ -104,10 +104,9 @@ Scratch &threadScratch() {
 class Eliminator {
 public:
   Eliminator(const std::vector<int64_t> &Data, unsigned NumVars,
-             bool IntegerVars, bool Sorted, bool ZeroStepFirst)
+             bool IntegerVars, bool Sorted)
       : S(threadScratch()), NumVars(NumVars), W(NumVars + 1),
-        IntegerVars(IntegerVars), Sorted(Sorted),
-        ZeroStepFirst(ZeroStepFirst) {
+        IntegerVars(IntegerVars), Sorted(Sorted) {
     assert(!S.InUse && "nested FM queries on one thread");
     S.InUse = true;
     S.Rows.assign(Data.begin(), Data.end());
@@ -129,9 +128,8 @@ public:
   /// OverflowGuard); callers must fall back conservatively.
   ElimResult eliminate(unsigned Var, size_t Margin = 0);
 
-  /// A query's steps: with ZeroStepFirst the step an all-zero column
-  /// takes, then x0 .. x(End-1) but \p Skip, stopping at the first step
-  /// that does not return Ok.
+  /// A query's steps: x0 .. x(End-1) but \p Skip, stopping at the first
+  /// step that does not return Ok.
   ElimResult run(unsigned End, unsigned Skip, size_t Margin = 0);
 
   size_t numRows() const { return S.Rows.size() / W; }
@@ -145,16 +143,11 @@ private:
   /// combined rows need sorting before the merge.
   void canonicalize(size_t NumRest);
 
-  /// The step of a column no row uses: it pairs nothing, so it only
-  /// checks the row count and sorts and deduplicates the rows.
-  ElimResult zeroStep(size_t Margin);
-
   Scratch &S;
   unsigned NumVars;
   unsigned W; // NumVars coefficients and the rhs
   bool IntegerVars;
   bool Sorted;
-  bool ZeroStepFirst;
 };
 
 ElimResult Eliminator::eliminate(unsigned Var, size_t Margin) {
@@ -213,20 +206,7 @@ ElimResult Eliminator::eliminate(unsigned Var, size_t Margin) {
   return ElimResult::Ok;
 }
 
-ElimResult Eliminator::zeroStep(size_t Margin) {
-  if (numRows() + Margin > RowCap)
-    return ElimResult::Overflow;
-  if (!Sorted) {
-    S.Next.swap(S.Rows);
-    canonicalize(0);
-  }
-  return ElimResult::Ok;
-}
-
 ElimResult Eliminator::run(unsigned End, unsigned Skip, size_t Margin) {
-  if (ZeroStepFirst)
-    if (ElimResult R = zeroStep(Margin); R != ElimResult::Ok)
-      return R;
   for (unsigned V = 0; V < End; ++V)
     if (V != Skip)
       if (ElimResult R = eliminate(V, Margin); R != ElimResult::Ok)
@@ -299,7 +279,7 @@ void FMSystem::fixVar(unsigned Var, int64_t Value) {
 bool FMSystem::feasible() const {
   if (HardInfeasible)
     return false;
-  Eliminator E(Data, NumVars, IntegerVars, Sorted, ZeroStepFirst);
+  Eliminator E(Data, NumVars, IntegerVars, Sorted);
   // Overflow is unknown, which is conservative ("feasible") for every
   // caller; Ok leaves only tautological constant rows.
   return E.run(NumVars, NumVars) != ElimResult::Contradiction;
@@ -309,7 +289,7 @@ VarRange FMSystem::rangeOf(unsigned Var) const {
   VarRange Out;
   if (HardInfeasible)
     return Out;
-  Eliminator E(Data, NumVars, IntegerVars, Sorted, ZeroStepFirst);
+  Eliminator E(Data, NumVars, IntegerVars, Sorted);
   switch (E.run(NumVars, Var)) {
   case ElimResult::Contradiction:
     return Out;
@@ -341,10 +321,10 @@ VarRange FMSystem::rangeOf(unsigned Var) const {
 std::optional<FMSystem> FMSystem::eliminatedBelow(unsigned K,
                                                   size_t Margin) const {
   assert(K <= NumVars && "eliminating past the last variable");
-  FMSystem Out(NumVars - K, IntegerVars);
-  // The steps of x0 .. x(K-1), which the result no longer has, leave a
-  // zero column's step in front of every query (see ZeroStepFirst).
-  Out.ZeroStepFirst = ZeroStepFirst || K > 0;
+  // x(K-1) is zero in every row the steps leave; keeping it as column 0
+  // makes every query's first step the one it takes in this system.
+  unsigned F = K == 0 ? 0 : K - 1;
+  FMSystem Out(NumVars - F, IntegerVars);
   Out.HardInfeasible = HardInfeasible;
   if (HardInfeasible)
     return Out;
@@ -357,7 +337,7 @@ std::optional<FMSystem> FMSystem::eliminatedBelow(unsigned K,
     Watch.emplace();
   bool Usable = true;
   {
-    Eliminator E(Data, NumVars, IntegerVars, Sorted, ZeroStepFirst);
+    Eliminator E(Data, NumVars, IntegerVars, Sorted);
     switch (E.run(K, K, Margin)) {
     case ElimResult::Overflow:
       Usable = false;
@@ -366,11 +346,11 @@ std::optional<FMSystem> FMSystem::eliminatedBelow(unsigned K,
       Out.HardInfeasible = true;
       break;
     case ElimResult::Ok: {
-      // Every row left is zero on x0 .. x(K-1): keep the columns after.
+      // Every row left is zero on x0 .. x(K-1).
       unsigned W = NumVars + 1;
-      Out.Data.reserve(E.numRows() * (W - K));
+      Out.Data.reserve(E.numRows() * (W - F));
       for (size_t I = 0; I < E.numRows(); ++I)
-        Out.Data.insert(Out.Data.end(), E.row(I) + K, E.row(I) + W);
+        Out.Data.insert(Out.Data.end(), E.row(I) + F, E.row(I) + W);
       Out.Sorted = E.sorted();
       break;
     }

@@ -22,9 +22,9 @@
 /// pairing would exceed 2,000 rows stops the query with a conservative
 /// answer. eliminatedBelow() runs a prefix of those steps once for
 /// callers that query many extensions of one system, and hands back only
-/// the columns those steps leave: the analyzer refines every direction
-/// over the distance columns (and the trip counters of strided loops)
-/// alone.
+/// the columns those steps leave (and the last one they eliminated): the
+/// analyzer refines every direction over the distance columns (and the
+/// trip counters of strided loops) alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,16 +88,16 @@ public:
 
   /// This system after the first \p K elimination steps (x0 .. x(K-1)),
   /// run once exactly as feasible() and rangeOf() run them, over the
-  /// columns those steps leave: x_K, x_(K+1), ... renumbered from 0, so
-  /// the result has numVars() - K variables. For any rows R, at most
-  /// \p Margin of them, none with a nonzero coefficient on x0 .. x(K-1),
-  /// the result plus R (R's coefficients on x_K and after) answers
-  /// feasible() and rangeOf(v - K), v >= K, exactly as this system plus
-  /// R answers feasible() and rangeOf(v), OverflowGuard trips included:
-  /// R never pairs in those steps and only adds to their row counts.
-  /// In this system, a query's first step sorts and deduplicates R
-  /// before any later step pairs it; so every query of the result (and
-  /// of its copies) first takes that step, as on an all-zero column.
+  /// columns from x_F on, renumbered from 0, where F is K - 1 (0 when K
+  /// is 0): x_v is the result's column v - F, and for K >= 1 column 0 is
+  /// zero in every row. For any rows R, at most \p Margin of them, none
+  /// with a nonzero coefficient on x0 .. x(K-1), the result plus R (R's
+  /// coefficients on the kept columns) answers feasible() and
+  /// rangeOf(v - F), v >= K, exactly as this system plus R answers
+  /// feasible() and rangeOf(v), OverflowGuard trips included: R never
+  /// pairs in those steps and only adds to their row counts. The kept
+  /// zero column makes a query's first step the one x(K-1) takes here,
+  /// which sorts and deduplicates R before any later step pairs it.
   /// \returns nullopt when the promise cannot be kept: some step's row
   /// count plus \p Margin exceeds the 2,000-row cap (that step is
   /// refused before it pairs, so it trips no guard), or a step's
@@ -112,9 +112,6 @@ private:
   bool IntegerVars;
   bool Sorted = false;         // rows sorted and unique (after any step)
   bool HardInfeasible = false; // a contradiction was added directly
-  // Narrowed by eliminatedBelow(): queries first take the step of an
-  // eliminated (now all-zero) column.
-  bool ZeroStepFirst = false;
 };
 
 } // namespace irlt

@@ -545,13 +545,17 @@ Recipe makeLateRows(fuzz::Rng &R, const Recipe &Base, unsigned K,
   return Late;
 }
 
-/// \p Late over x_K and the columns after it: the rows as the shared
-/// result of eliminatedBelow(K, ...) takes them.
+/// The first column of this system that the result of eliminatedBelow(K,
+/// ...) keeps: x(K-1), or x0 when K is 0.
+unsigned keptFrom(unsigned K) { return K == 0 ? 0 : K - 1; }
+
+/// \p Late over the columns the shared result of eliminatedBelow(K, ...)
+/// keeps: the rows as that result takes them.
 Recipe narrowed(const Recipe &Late, unsigned K) {
   Recipe Out = Late;
-  Out.NumVars -= K;
+  Out.NumVars -= keptFrom(K);
   for (Op &O : Out.Ops)
-    O.Coef.erase(O.Coef.begin(), O.Coef.begin() + K);
+    O.Coef.erase(O.Coef.begin(), O.Coef.begin() + keptFrom(K));
   return Out;
 }
 
@@ -559,9 +563,9 @@ TEST(FMEquivalence, EliminatedBelowContract) {
   // For random S, K, Margin and late rows R (at most Margin, none over
   // x0 .. x(K-1)): S.eliminatedBelow(K, Margin) is refused exactly when
   // some step's count plus Margin passes the cap or a step tripped a
-  // guard, and otherwise S + R and the shared result + R (over x_K and
-  // after, renumbered from 0) agree on feasible(), rangeOf(v) for v >= K
-  // (the shared result's v - K), and every guard trip.
+  // guard, and otherwise S + R and the shared result + R (over x(K-1)
+  // and after, renumbered from 0) agree on feasible(), rangeOf(v) for
+  // v >= K (the shared result's v - keptFrom(K)), and every guard trip.
   const Shape Shapes[] = {Shape::Sparse, Shape::Dense, Shape::Capped,
                           Shape::Extreme};
   unsigned Shared = 0, RefusedAtCap = 0, RefusedTripped = 0;
@@ -595,10 +599,10 @@ TEST(FMEquivalence, EliminatedBelowContract) {
     ++Shared;
     RefFMSystem RefFull = Ref;
     replay(Late, RefFull);
-    ASSERT_EQ(E->numVars(), Base.NumVars - K) << "case " << Case;
+    ASSERT_EQ(E->numVars(), Base.NumVars - keptFrom(K)) << "case " << Case;
     replay(narrowed(Late, K), *E);
     std::vector<std::string> Want = queries(RefFull, K);
-    ASSERT_EQ(Want, queries(*E))
+    ASSERT_EQ(Want, queries(*E, K - keptFrom(K)))
         << "case " << Case << " K " << K << "\n"
         << Base.str() << "late rows:\n"
         << Late.str();
@@ -627,20 +631,13 @@ TEST(FMEquivalence, EliminatedBelowMarginAtTheCap) {
   EXPECT_FALSE(S.feasible());
   // Two late rows keep the count at the cap; a third passes it, and the
   // full system's first step then overflows and answers "feasible"
-  // (unknown), which a shared elimination would not. The late rows are
-  // over x1 and x2, which the shared result has at columns 0 and 1.
+  // (unknown), which a shared elimination would not. The shared result
+  // keeps x0, now zero in every row, in front of x1 and x2.
   auto late = [](auto &Sys, unsigned Rows) {
-    unsigned From = Sys.numVars() == 3 ? 1 : 0;
-    auto over = [&](int64_t C1, int64_t C2) {
-      std::vector<int64_t> Coef(Sys.numVars(), 0);
-      Coef[From] = C1;
-      Coef[From + 1] = C2;
-      return Coef;
-    };
-    Sys.addLE(over(1, 0), 100);
-    Sys.addLE(over(0, 1), 7);
+    Sys.addLE({0, 1, 0}, 100);
+    Sys.addLE({0, 0, 1}, 7);
     if (Rows == 3)
-      Sys.addGE(over(1, 0), -100);
+      Sys.addGE({0, 1, 0}, -100);
   };
   for (unsigned Rows : {2u, 3u}) {
     std::optional<FMSystem> E = S.eliminatedBelow(1, Rows);
@@ -649,9 +646,9 @@ TEST(FMEquivalence, EliminatedBelowMarginAtTheCap) {
     EXPECT_EQ(RefFull.feasible(), Rows == 3) << Rows;
     ASSERT_EQ(E.has_value(), Rows == 2) << Rows;
     if (E) {
-      ASSERT_EQ(E->numVars(), 2u);
+      ASSERT_EQ(E->numVars(), 3u);
       late(*E, Rows);
-      EXPECT_EQ(queries(*E), queries(RefFull, 1));
+      EXPECT_EQ(queries(*E, 1), queries(RefFull, 1));
     }
   }
 
