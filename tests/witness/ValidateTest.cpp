@@ -17,13 +17,16 @@
 
 #include "witness/Validate.h"
 
+#include "cgen/NativeRunner.h"
 #include "dependence/DepAnalysis.h"
 #include "ir/Parser.h"
 #include "transform/Templates.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 
 using namespace irlt;
 using namespace irlt::witness;
@@ -176,6 +179,133 @@ TEST(Validate, StatusNamesAreStable) {
   EXPECT_STREQ(validateStatusName(ValidateStatus::Disproved), "disproved");
   EXPECT_STREQ(validateStatusName(ValidateStatus::Inconclusive),
                "inconclusive");
+}
+
+//===--- The native tier ----------------------------------------------------=
+//
+// These pin the verdict and detail string of every way the native tier
+// (docs/CODEGEN.md) can end a candidate. Tests that compile skip loudly
+// when no host C compiler answers, as NativeRunnerTest does.
+
+bool haveCompiler() {
+  static const bool Have = !cgen::probeCompiler().empty();
+  return Have;
+}
+
+ValidateOptions quietNative() {
+  ValidateOptions O = ValidateOptions::nativeDefaults();
+  O.ReproDir.clear();
+  return O;
+}
+
+/// Interpreted bindings under which reversing the stencil's outer loop
+/// is invisible (one iteration), so the candidate reaches the native
+/// tier; \p Native are the native bindings.
+ValidateOptions hiddenReversal(std::vector<std::map<std::string, int64_t>>
+                                   Native) {
+  ValidateOptions O = quietNative();
+  O.Bindings = {{{"n", 1}}};
+  O.NativeBindings = std::move(Native);
+  return O;
+}
+
+/// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const std::string &Value) : Name(Name) {
+    if (const char *Old = getenv(Name))
+      Saved = Old;
+    setenv(Name, Value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      setenv(Name, Saved->c_str(), 1);
+    else
+      unsetenv(Name);
+  }
+
+private:
+  const char *Name;
+  std::optional<std::string> Saved;
+};
+
+TEST(ValidateNative, ConfirmedUnderBothBindings) {
+  if (!haveCompiler())
+    GTEST_SKIP() << "no host C compiler";
+  LadderResult R = validateLadder(stencil(), {soundCandidate()},
+                                  quietNative());
+  EXPECT_EQ(R.Chosen, 0);
+  ASSERT_EQ(R.Outcomes.size(), 1u);
+  EXPECT_EQ(R.Outcomes[0].Status, ValidateStatus::Confirmed);
+  EXPECT_EQ(R.Outcomes[0].Detail,
+            "equivalent under 2 binding(s); native-confirmed under 2 "
+            "binding(s)");
+}
+
+TEST(ValidateNative, MismatchAtTheFirstBinding) {
+  if (!haveCompiler())
+    GTEST_SKIP() << "no host C compiler";
+  CandidateOutcome O =
+      validateCandidate(stencil(), unsoundCandidate(),
+                        hiddenReversal({{{"n", 8}}, {{"n", 16}}}));
+  EXPECT_EQ(O.Status, ValidateStatus::Disproved);
+  EXPECT_EQ(O.Detail, "native binding n=8: native mismatch: original "
+                      "0xc270a1108db5855c vs transformed 0xcaf5e7f170320ec4");
+  EXPECT_EQ(O.Why.Message, O.Detail.substr(O.Detail.find("native mismatch")));
+}
+
+TEST(ValidateNative, MismatchFirstSeenAtTheSecondBinding) {
+  if (!haveCompiler())
+    GTEST_SKIP() << "no host C compiler";
+  // Under n=1 the reversal is invisible natively too; n=8 exposes it.
+  LadderResult R =
+      validateLadder(stencil(), {unsoundCandidate(), soundCandidate()},
+                     hiddenReversal({{{"n", 1}}, {{"n", 8}}}));
+  EXPECT_EQ(R.Chosen, 1);
+  ASSERT_EQ(R.Outcomes.size(), 2u);
+  EXPECT_EQ(R.Outcomes[0].Status, ValidateStatus::Disproved);
+  EXPECT_EQ(R.Outcomes[0].Detail,
+            "native binding n=8: native mismatch: original "
+            "0xc270a1108db5855c vs transformed 0xcaf5e7f170320ec4");
+  EXPECT_EQ(R.Outcomes[1].Status, ValidateStatus::Confirmed);
+  EXPECT_EQ(R.Outcomes[1].Detail,
+            "equivalent under 1 binding(s); native-confirmed under 2 "
+            "binding(s)");
+}
+
+TEST(ValidateNative, CellCapSkipsTheSecondBinding) {
+  if (!haveCompiler())
+    GTEST_SKIP() << "no host C compiler";
+  // The stencil's a is 73 x 73 cells at n=72 and 161 x 161 at n=160.
+  ValidateOptions Opts = quietNative();
+  Opts.NativeMaxCells = 10000;
+  CandidateOutcome O = validateCandidate(stencil(), soundCandidate(), Opts);
+  EXPECT_EQ(O.Status, ValidateStatus::Confirmed);
+  EXPECT_EQ(O.Detail, "equivalent under 2 binding(s); native tier skipped: "
+                      "array a above the cell cap");
+}
+
+TEST(ValidateNative, MissingCompilerLeavesTheInterpretedVerdict) {
+  ScopedEnv CC("IRLT_CC", "/nonexistent/irlt-no-such-cc");
+  CandidateOutcome O =
+      validateCandidate(stencil(), soundCandidate(), quietNative());
+  EXPECT_EQ(O.Status, ValidateStatus::Confirmed);
+  EXPECT_EQ(O.Detail, "equivalent under 2 binding(s); native tier skipped: "
+                      "no host C compiler");
+}
+
+TEST(ValidateNative, ConfirmsWhatTheInterpretedBudgetCannot) {
+  if (!haveCompiler())
+    GTEST_SKIP() << "no host C compiler";
+  ValidateOptions Opts = quietNative();
+  Opts.MaxInstances = 1;
+  LadderResult R = validateLadder(stencil(), {soundCandidate()}, Opts);
+  EXPECT_EQ(R.Chosen, 0);
+  ASSERT_EQ(R.Outcomes.size(), 1u);
+  EXPECT_EQ(R.Outcomes[0].Status, ValidateStatus::Confirmed);
+  EXPECT_EQ(R.Outcomes[0].Detail,
+            "interpreted budget exhausted, but native execution confirmed 2 "
+            "binding(s)");
 }
 
 } // namespace
