@@ -469,10 +469,247 @@ std::string callArgs(const LoopNest &Nest,
 
 } // namespace
 
+namespace {
+
+/// Appends the part of a program that runs the pair under one binding:
+/// storage, accessors and macros for \p Sorted, seeding, checksum, both
+/// kernels and the section's main. Every symbol it defines starts with
+/// \p Prefix; the empty prefix writes a one-section program's `main`.
+void emitSection(std::string &P, const std::string &Prefix,
+                 const LoopNest &Original, const LoopNest *Transformed,
+                 const ProgramSection &Section,
+                 const std::vector<ArrayShape> &Sorted,
+                 const ProgramOptions &Options) {
+  auto L = [&P](const std::string &Line) { P += Line + "\n"; };
+  auto Sym = [&Prefix](const std::string &Name) { return Prefix + Name; };
+  uint64_t TotalCells = 0;
+  for (const ArrayShape &S : Sorted)
+    TotalCells += S.cells();
+
+  L("");
+  if (!Prefix.empty())
+    L("/* Section " + Prefix + ": bindings " +
+      bindingComment(Section.Bindings) + " */");
+  L("static uint64_t " + Sym("irlt_oob") + " = 0;");
+  L("static int64_t " + Sym("irlt_sink") + " = 0;");
+
+  // Per-array storage, bounds-checked accessor, and access macro.
+  for (const ArrayShape &S : Sorted) {
+    std::string Cells = std::to_string(S.cells());
+    std::string Dims;
+    for (size_t D = 0; D < S.Lower.size(); ++D)
+      Dims += (D ? " x " : "") + std::string("[") +
+              std::to_string(S.Lower[D]) + ", " +
+              std::to_string(S.Lower[D] + S.Extent[D] - 1) + "]";
+    std::string Buf = Sym("irlt_buf_" + S.Name);
+    std::string At = Sym("irlt_at_" + S.Name);
+    L("");
+    L("/* " + S.Name + ": " + Dims + " (" + Cells + " cells, row-major);");
+    L(" * out-of-shape accesses go to the sink and are counted. */");
+    L("static int64_t " + Buf + "[" + Cells + "];");
+    L("static int64_t " + Sym("irlt_ref_" + S.Name) + "[" + Cells + "];");
+    std::string Params;
+    for (size_t D = 0; D < S.Lower.size(); ++D)
+      Params += std::string(D ? ", " : "") + "int64_t s" + std::to_string(D);
+    L("static inline int64_t *" + At + "(" + Params + ") {");
+    std::string Check;
+    for (size_t D = 0; D < S.Lower.size(); ++D) {
+      std::string V = "s" + std::to_string(D);
+      std::string Lo = std::to_string(S.Lower[D]);
+      std::string Hi = std::to_string(S.Lower[D] + S.Extent[D] - 1);
+      Check += (D ? " || " : "") + V + " < " + Lo + " || " + V + " > " + Hi;
+    }
+    L("  if (" + Check + ") {");
+    L("#if defined(_OPENMP)");
+    L("#pragma omp atomic");
+    L("#endif");
+    L("    ++" + Sym("irlt_oob") + ";");
+    L("    return &" + Sym("irlt_sink") + ";");
+    L("  }");
+    // Row-major flattening: ((s0-L0)*E1 + (s1-L1))*E2 + ...
+    std::string Index;
+    for (size_t D = 0; D < S.Lower.size(); ++D) {
+      std::string Term = "(uint64_t)(s" + std::to_string(D) + " - (" +
+                         std::to_string(S.Lower[D]) + "))";
+      if (D == 0)
+        Index = Term;
+      else
+        Index = "(" + Index + ") * " + std::to_string(S.Extent[D]) + "ULL + " +
+                Term;
+    }
+    L("  return &" + Buf + "[" + Index + "];");
+    L("}");
+    std::string MacroParams;
+    for (size_t D = 0; D < S.Lower.size(); ++D)
+      MacroParams += std::string(D ? ", " : "") + "s" + std::to_string(D);
+    L("#define " + S.Name + "(" + MacroParams + ") (*" + At + "(" +
+      MacroParams + "))");
+  }
+
+  std::string Seed = Sym("IRLT_SEED");
+  std::string SeedArrays = Sym("irlt_seed_arrays");
+  std::string Checksum = Sym("irlt_checksum");
+  std::string NowNs = Sym("irlt_now_ns");
+  std::string Oob = Sym("irlt_oob");
+  L("");
+  L("static const uint64_t " + Seed + " = " + std::to_string(Options.Seed) +
+    "ULL;");
+  L("");
+  L("static void " + SeedArrays + "(void) {");
+  L("  uint64_t i;");
+  for (size_t A = 0; A < Sorted.size(); ++A) {
+    const ArrayShape &S = Sorted[A];
+    L("  for (i = 0; i < " + std::to_string(S.cells()) + "ULL; ++i)");
+    L("    " + Sym("irlt_buf_" + S.Name) + "[i] = (int64_t)(irlt_mix(" +
+      Seed + " ^ ((" + std::to_string(A) +
+      "ULL + 1ULL) << 32) ^ i) % 127) - 63;");
+  }
+  L("}");
+  L("");
+  L("/* FNV-1a over every cell of every array, in sorted array order;");
+  L(" * mirrored by the interpreter-side checksum (cgen/Cgen.h). */");
+  L("static uint64_t " + Checksum + "(void) {");
+  L("  uint64_t h = 14695981039346656037ULL;");
+  L("  uint64_t i;");
+  for (const ArrayShape &S : Sorted) {
+    L("  for (i = 0; i < " + std::to_string(S.cells()) + "ULL; ++i) {");
+    L("    h ^= (uint64_t)" + Sym("irlt_buf_" + S.Name) + "[i];");
+    L("    h *= 1099511628211ULL;");
+    L("  }");
+  }
+  L("  return h;");
+  L("}");
+  L("");
+  L("static uint64_t " + NowNs + "(void) {");
+  L("  struct timespec ts;");
+  L("  clock_gettime(CLOCK_MONOTONIC, &ts);");
+  L("  return (uint64_t)ts.tv_sec * 1000000000ULL + (uint64_t)ts.tv_nsec;");
+  L("}");
+  L("");
+
+  std::string OriginalFn = Sym("irlt_original");
+  std::string TransformedFn = Sym("irlt_transformed");
+  CEmitOptions KO;
+  KO.EmitHelpers = false;
+  KO.UseOpenMP = Options.UseOpenMP;
+  KO.FunctionName = OriginalFn;
+  P += emitC(Original, KO);
+  if (Transformed) {
+    L("");
+    KO.FunctionName = TransformedFn;
+    P += emitC(*Transformed, KO);
+  }
+
+  std::string OrigCall =
+      OriginalFn + "(" + callArgs(Original, Section.Bindings) + ");";
+  std::string XformCall =
+      Transformed
+          ? TransformedFn + "(" + callArgs(*Transformed, Section.Bindings) +
+                ");"
+          : "";
+
+  L("");
+  L((Prefix.empty() ? "int " : "static int ") + Sym("main") + "(void) {");
+  L("  int match = 1;");
+  L("  " + Oob + " = 0;");
+  L("  " + SeedArrays + "();");
+  L("  " + OrigCall);
+  L("  uint64_t ck_original = " + Checksum + "();");
+  L("  uint64_t oob_original = " + Oob + ";");
+  for (const ArrayShape &S : Sorted) {
+    std::string Buf = Sym("irlt_buf_" + S.Name);
+    L("  memcpy(" + Sym("irlt_ref_" + S.Name) + ", " + Buf + ", sizeof(" +
+      Buf + "));");
+  }
+  L("  uint64_t ck_transformed = ck_original;");
+  L("  uint64_t oob_transformed = oob_original;");
+  if (Transformed) {
+    L("  " + Oob + " = 0;");
+    L("  " + SeedArrays + "();");
+    L("  " + XformCall);
+    L("  ck_transformed = " + Checksum + "();");
+    L("  oob_transformed = " + Oob + ";");
+    L("  if (ck_transformed != ck_original)");
+    L("    match = 0;");
+    L("  if (oob_transformed != oob_original)");
+    L("    match = 0;");
+    for (const ArrayShape &S : Sorted) {
+      std::string Buf = Sym("irlt_buf_" + S.Name);
+      L("  if (memcmp(" + Buf + ", " + Sym("irlt_ref_" + S.Name) +
+        ", sizeof(" + Buf + ")) != 0)");
+      L("    match = 0;");
+    }
+  }
+  L("  uint64_t ns_original = 0;");
+  L("  uint64_t ns_transformed = 0;");
+  if (Options.TimingReps > 0) {
+    std::string Reps = std::to_string(Options.TimingReps);
+    L("  {");
+    L("    int r;");
+    L("    for (r = 0; r < " + Reps + "; ++r) {");
+    L("      " + SeedArrays + "();");
+    L("      uint64_t t0 = " + NowNs + "();");
+    L("      " + OrigCall);
+    L("      uint64_t t1 = " + NowNs + "();");
+    L("      if (ns_original == 0 || t1 - t0 < ns_original)");
+    L("        ns_original = t1 - t0;");
+    L("    }");
+    if (Transformed) {
+      L("    for (r = 0; r < " + Reps + "; ++r) {");
+      L("      " + SeedArrays + "();");
+      L("      uint64_t t0 = " + NowNs + "();");
+      L("      " + XformCall);
+      L("      uint64_t t1 = " + NowNs + "();");
+      L("      if (ns_transformed == 0 || t1 - t0 < ns_transformed)");
+      L("        ns_transformed = t1 - t0;");
+    L("    }");
+    }
+    L("  }");
+  } else {
+    L("  (void)" + NowNs + ";");
+  }
+  L("  int threads = 1;");
+  L("#if defined(_OPENMP)");
+  L("  threads = omp_get_max_threads();");
+  L("#endif");
+  L("  printf(\"IRLT_RESULT {\\\"schema_version\\\":1,"
+    "\\\"record\\\":\\\"native-run\\\",\"");
+  L("         \"\\\"match\\\":%s,\"");
+  L("         \"\\\"checksum_original\\\":\\\"0x%016\" PRIx64 \"\\\",\"");
+  L("         \"\\\"checksum_transformed\\\":\\\"0x%016\" PRIx64 \"\\\",\"");
+  L("         \"\\\"oob_original\\\":%\" PRIu64 \","
+    "\\\"oob_transformed\\\":%\" PRIu64 \",\"");
+  L("         \"\\\"cells\\\":" + std::to_string(TotalCells) +
+    ",\\\"reps\\\":" + std::to_string(Options.TimingReps) + ",\"");
+  L("         \"\\\"ns_original\\\":%\" PRIu64 \","
+    "\\\"ns_transformed\\\":%\" PRIu64 \",\\\"threads\\\":%d}\\n\",");
+  L("         match ? \"true\" : \"false\", ck_original, ck_transformed,");
+  L("         oob_original, oob_transformed, ns_original, ns_transformed,");
+  L("         threads);");
+  L("  return match ? 0 : 7;");
+  L("}");
+  // The next section binds the same array names to its own storage.
+  if (!Prefix.empty())
+    for (const ArrayShape &S : Sorted)
+      L("#undef " + S.Name);
+}
+
+} // namespace
+
 ErrorOr<std::string>
 irlt::cgen::emitProgram(const LoopNest &Original, const LoopNest *Transformed,
                         const std::vector<ArrayShape> &Shapes,
                         const ProgramOptions &Options) {
+  return emitProgram(Original, Transformed, {{Options.Bindings, Shapes}},
+                     Options);
+}
+
+ErrorOr<std::string>
+irlt::cgen::emitProgram(const LoopNest &Original, const LoopNest *Transformed,
+                        const std::vector<ProgramSection> &Sections,
+                        const ProgramOptions &Options) {
+  if (Sections.empty())
+    return Failure("no sections to emit");
   std::string Reason = checkEmittable(Original);
   if (!Reason.empty())
     return Failure("original nest not emittable: " + Reason);
@@ -481,28 +718,29 @@ irlt::cgen::emitProgram(const LoopNest &Original, const LoopNest *Transformed,
     if (!Reason.empty())
       return Failure("transformed nest not emittable: " + Reason);
   }
-  std::string Missing = unboundParams(Original, Options.Bindings);
-  if (Missing.empty() && Transformed)
-    Missing = unboundParams(*Transformed, Options.Bindings);
-  if (!Missing.empty())
-    return Failure("unbound scalar parameter(s): " + Missing +
-                   " (pass --bind)");
+  std::vector<std::vector<ArrayShape>> Sorted;
+  for (const ProgramSection &Section : Sections) {
+    std::string Missing = unboundParams(Original, Section.Bindings);
+    if (Missing.empty() && Transformed)
+      Missing = unboundParams(*Transformed, Section.Bindings);
+    if (!Missing.empty())
+      return Failure("unbound scalar parameter(s): " + Missing +
+                     " (pass --bind)");
 
-  std::vector<ArrayShape> Sorted = Shapes;
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const ArrayShape &A, const ArrayShape &B) {
-              return A.Name < B.Name;
-            });
-  uint64_t TotalCells = 0;
-  for (const ArrayShape &S : Sorted) {
-    if (S.Lower.empty())
-      return Failure("array " + S.Name + " has an empty shape");
-    if (S.cells() > Options.MaxCells)
-      return Failure("array " + S.Name + " needs " +
-                     std::to_string(S.cells()) +
-                     " cells, above the cap of " +
-                     std::to_string(Options.MaxCells));
-    TotalCells += S.cells();
+    std::vector<ArrayShape> &Shapes = Sorted.emplace_back(Section.Shapes);
+    std::sort(Shapes.begin(), Shapes.end(),
+              [](const ArrayShape &A, const ArrayShape &B) {
+                return A.Name < B.Name;
+              });
+    for (const ArrayShape &S : Shapes) {
+      if (S.Lower.empty())
+        return Failure("array " + S.Name + " has an empty shape");
+      if (S.cells() > Options.MaxCells)
+        return Failure("array " + S.Name + " needs " +
+                       std::to_string(S.cells()) +
+                       " cells, above the cap of " +
+                       std::to_string(Options.MaxCells));
+    }
   }
 
   std::set<std::string> Opaques = opaqueCallees(Original);
@@ -513,14 +751,32 @@ irlt::cgen::emitProgram(const LoopNest &Original, const LoopNest *Transformed,
 
   std::string P;
   auto L = [&P](const std::string &Line) { P += Line + "\n"; };
+  bool One = Sections.size() == 1;
+  auto prefixOf = [One](size_t I) {
+    return One ? std::string() : "b" + std::to_string(I) + "_";
+  };
 
   L("/* Generated by irlt-cgen: differential native harness for the");
   L(" * PLDI'92 iteration-reordering framework (docs/CODEGEN.md).");
-  L(" * seed=" + std::to_string(Options.Seed) +
-    " bindings: " + bindingComment(Options.Bindings) +
-    " reps=" + std::to_string(Options.TimingReps));
+  if (One) {
+    L(" * seed=" + std::to_string(Options.Seed) +
+      " bindings: " + bindingComment(Sections[0].Bindings) +
+      " reps=" + std::to_string(Options.TimingReps));
+  } else {
+    L(" * seed=" + std::to_string(Options.Seed) +
+      " reps=" + std::to_string(Options.TimingReps) +
+      ", one section per binding:");
+    for (size_t I = 0; I < Sections.size(); ++I)
+      L(" *   " + prefixOf(I) + ": " + bindingComment(Sections[I].Bindings));
+  }
   L(" * Exit status: 0 = checksums and memory images match, 7 = mismatch.");
-  L(" * Machine-readable verdict: the IRLT_RESULT line on stdout. */");
+  if (One) {
+    L(" * Machine-readable verdict: the IRLT_RESULT line on stdout. */");
+  } else {
+    L(" * Machine-readable verdict: one IRLT_RESULT line per section on");
+    L(" * stdout, in order; the first section that does not match ends");
+    L(" * the run with its exit status. */");
+  }
   L("#include <inttypes.h>");
   L("#include <stdint.h>");
   L("#include <stdio.h>");
@@ -569,187 +825,29 @@ irlt::cgen::emitProgram(const LoopNest &Original, const LoopNest *Transformed,
   L("  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;");
   L("  return x ^ (x >> 31);");
   L("}");
-  L("");
-  L("static uint64_t irlt_oob = 0;");
-  L("static int64_t irlt_sink = 0;");
 
-  // Per-array storage, bounds-checked accessor, and access macro.
-  for (const ArrayShape &S : Sorted) {
-    std::string Cells = std::to_string(S.cells());
-    std::string Dims;
-    for (size_t D = 0; D < S.Lower.size(); ++D)
-      Dims += (D ? " x " : "") + std::string("[") +
-              std::to_string(S.Lower[D]) + ", " +
-              std::to_string(S.Lower[D] + S.Extent[D] - 1) + "]";
-    L("");
-    L("/* " + S.Name + ": " + Dims + " (" + Cells + " cells, row-major);");
-    L(" * out-of-shape accesses go to the sink and are counted. */");
-    L("static int64_t irlt_buf_" + S.Name + "[" + Cells + "];");
-    L("static int64_t irlt_ref_" + S.Name + "[" + Cells + "];");
-    std::string Params;
-    for (size_t D = 0; D < S.Lower.size(); ++D)
-      Params += std::string(D ? ", " : "") + "int64_t s" + std::to_string(D);
-    L("static inline int64_t *irlt_at_" + S.Name + "(" + Params + ") {");
-    std::string Check;
-    for (size_t D = 0; D < S.Lower.size(); ++D) {
-      std::string V = "s" + std::to_string(D);
-      std::string Lo = std::to_string(S.Lower[D]);
-      std::string Hi = std::to_string(S.Lower[D] + S.Extent[D] - 1);
-      Check += (D ? " || " : "") + V + " < " + Lo + " || " + V + " > " + Hi;
-    }
-    L("  if (" + Check + ") {");
-    L("#if defined(_OPENMP)");
-    L("#pragma omp atomic");
-    L("#endif");
-    L("    ++irlt_oob;");
-    L("    return &irlt_sink;");
-    L("  }");
-    // Row-major flattening: ((s0-L0)*E1 + (s1-L1))*E2 + ...
-    std::string Index;
-    for (size_t D = 0; D < S.Lower.size(); ++D) {
-      std::string Term = "(uint64_t)(s" + std::to_string(D) + " - (" +
-                         std::to_string(S.Lower[D]) + "))";
-      if (D == 0)
-        Index = Term;
-      else
-        Index = "(" + Index + ") * " + std::to_string(S.Extent[D]) + "ULL + " +
-                Term;
-    }
-    L("  return &irlt_buf_" + S.Name + "[" + Index + "];");
-    L("}");
-    std::string MacroParams;
-    for (size_t D = 0; D < S.Lower.size(); ++D)
-      MacroParams += std::string(D ? ", " : "") + "s" + std::to_string(D);
-    L("#define " + S.Name + "(" + MacroParams + ") (*irlt_at_" + S.Name +
-      "(" + MacroParams + "))");
-  }
+  for (size_t I = 0; I < Sections.size(); ++I)
+    emitSection(P, prefixOf(I), Original, Transformed, Sections[I], Sorted[I],
+                Options);
+  if (One)
+    return P;
 
-  L("");
-  L("static const uint64_t IRLT_SEED = " + std::to_string(Options.Seed) +
-    "ULL;");
-  L("");
-  L("static void irlt_seed_arrays(void) {");
-  L("  uint64_t i;");
-  for (size_t A = 0; A < Sorted.size(); ++A) {
-    const ArrayShape &S = Sorted[A];
-    L("  for (i = 0; i < " + std::to_string(S.cells()) + "ULL; ++i)");
-    L("    irlt_buf_" + S.Name + "[i] = (int64_t)(irlt_mix(IRLT_SEED ^ ((" +
-      std::to_string(A) + "ULL + 1ULL) << 32) ^ i) % 127) - 63;");
-  }
-  L("}");
-  L("");
-  L("/* FNV-1a over every cell of every array, in sorted array order;");
-  L(" * mirrored by the interpreter-side checksum (cgen/Cgen.h). */");
-  L("static uint64_t irlt_checksum(void) {");
-  L("  uint64_t h = 14695981039346656037ULL;");
-  L("  uint64_t i;");
-  for (const ArrayShape &S : Sorted) {
-    L("  for (i = 0; i < " + std::to_string(S.cells()) + "ULL; ++i) {");
-    L("    h ^= (uint64_t)irlt_buf_" + S.Name + "[i];");
-    L("    h *= 1099511628211ULL;");
-    L("  }");
-  }
-  L("  return h;");
-  L("}");
-  L("");
-  L("static uint64_t irlt_now_ns(void) {");
-  L("  struct timespec ts;");
-  L("  clock_gettime(CLOCK_MONOTONIC, &ts);");
-  L("  return (uint64_t)ts.tv_sec * 1000000000ULL + (uint64_t)ts.tv_nsec;");
-  L("}");
-  L("");
-
-  CEmitOptions KO;
-  KO.EmitHelpers = false;
-  KO.UseOpenMP = Options.UseOpenMP;
-  KO.FunctionName = "irlt_original";
-  P += emitC(Original, KO);
-  if (Transformed) {
-    L("");
-    KO.FunctionName = "irlt_transformed";
-    P += emitC(*Transformed, KO);
-  }
-
-  std::string OrigArgs = callArgs(Original, Options.Bindings);
-  std::string XformArgs =
-      Transformed ? callArgs(*Transformed, Options.Bindings) : "";
-
+  // Each section's line reaches the pipe before the next section starts,
+  // so a later crash or timeout cannot take an earlier verdict with it.
+  std::string Mains;
+  for (size_t I = 0; I < Sections.size(); ++I)
+    Mains += (I ? ", " : "") + prefixOf(I) + "main";
   L("");
   L("int main(void) {");
-  L("  int match = 1;");
-  L("  irlt_oob = 0;");
-  L("  irlt_seed_arrays();");
-  L("  irlt_original(" + OrigArgs + ");");
-  L("  uint64_t ck_original = irlt_checksum();");
-  L("  uint64_t oob_original = irlt_oob;");
-  for (const ArrayShape &S : Sorted)
-    L("  memcpy(irlt_ref_" + S.Name + ", irlt_buf_" + S.Name +
-      ", sizeof(irlt_buf_" + S.Name + "));");
-  L("  uint64_t ck_transformed = ck_original;");
-  L("  uint64_t oob_transformed = oob_original;");
-  if (Transformed) {
-    L("  irlt_oob = 0;");
-    L("  irlt_seed_arrays();");
-    L("  irlt_transformed(" + XformArgs + ");");
-    L("  ck_transformed = irlt_checksum();");
-    L("  oob_transformed = irlt_oob;");
-    L("  if (ck_transformed != ck_original)");
-    L("    match = 0;");
-    L("  if (oob_transformed != oob_original)");
-    L("    match = 0;");
-    for (const ArrayShape &S : Sorted) {
-      L("  if (memcmp(irlt_buf_" + S.Name + ", irlt_ref_" + S.Name +
-        ", sizeof(irlt_buf_" + S.Name + ")) != 0)");
-      L("    match = 0;");
-    }
-  }
-  L("  uint64_t ns_original = 0;");
-  L("  uint64_t ns_transformed = 0;");
-  if (Options.TimingReps > 0) {
-    std::string Reps = std::to_string(Options.TimingReps);
-    L("  {");
-    L("    int r;");
-    L("    for (r = 0; r < " + Reps + "; ++r) {");
-    L("      irlt_seed_arrays();");
-    L("      uint64_t t0 = irlt_now_ns();");
-    L("      irlt_original(" + OrigArgs + ");");
-    L("      uint64_t t1 = irlt_now_ns();");
-    L("      if (ns_original == 0 || t1 - t0 < ns_original)");
-    L("        ns_original = t1 - t0;");
-    L("    }");
-    if (Transformed) {
-      L("    for (r = 0; r < " + Reps + "; ++r) {");
-      L("      irlt_seed_arrays();");
-      L("      uint64_t t0 = irlt_now_ns();");
-      L("      irlt_transformed(" + XformArgs + ");");
-      L("      uint64_t t1 = irlt_now_ns();");
-      L("      if (ns_transformed == 0 || t1 - t0 < ns_transformed)");
-      L("        ns_transformed = t1 - t0;");
-    L("    }");
-    }
-    L("  }");
-  } else {
-    L("  (void)irlt_now_ns;");
-  }
-  L("  int threads = 1;");
-  L("#if defined(_OPENMP)");
-  L("  threads = omp_get_max_threads();");
-  L("#endif");
-  L("  printf(\"IRLT_RESULT {\\\"schema_version\\\":1,"
-    "\\\"record\\\":\\\"native-run\\\",\"");
-  L("         \"\\\"match\\\":%s,\"");
-  L("         \"\\\"checksum_original\\\":\\\"0x%016\" PRIx64 \"\\\",\"");
-  L("         \"\\\"checksum_transformed\\\":\\\"0x%016\" PRIx64 \"\\\",\"");
-  L("         \"\\\"oob_original\\\":%\" PRIu64 \","
-    "\\\"oob_transformed\\\":%\" PRIu64 \",\"");
-  L("         \"\\\"cells\\\":" + std::to_string(TotalCells) +
-    ",\\\"reps\\\":" + std::to_string(Options.TimingReps) + ",\"");
-  L("         \"\\\"ns_original\\\":%\" PRIu64 \","
-    "\\\"ns_transformed\\\":%\" PRIu64 \",\\\"threads\\\":%d}\\n\",");
-  L("         match ? \"true\" : \"false\", ck_original, ck_transformed,");
-  L("         oob_original, oob_transformed, ns_original, ns_transformed,");
-  L("         threads);");
-  L("  return match ? 0 : 7;");
+  L("  static int (*const sections[])(void) = {" + Mains + "};");
+  L("  unsigned i;");
+  L("  for (i = 0; i < " + std::to_string(Sections.size()) + "; ++i) {");
+  L("    int status = sections[i]();");
+  L("    fflush(stdout);");
+  L("    if (status != 0)");
+  L("      return status;");
+  L("  }");
+  L("  return 0;");
   L("}");
   return P;
 }

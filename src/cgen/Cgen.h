@@ -113,6 +113,25 @@ ErrorOr<std::string> emitProgram(const LoopNest &Original,
                                  const std::vector<ArrayShape> &Shapes,
                                  const ProgramOptions &Options);
 
+/// One binding of a multi-binding program, with the array shapes under
+/// it (arrayShapes of the original nest at that binding).
+struct ProgramSection {
+  std::map<std::string, int64_t> Bindings;
+  std::vector<ArrayShape> Shapes;
+};
+
+/// Emits one translation unit that checks the pair under every section
+/// in order, so a list of bindings costs one compile and one run. Each
+/// section is the program the form above writes for its binding, with
+/// its symbols prefixed (`b0_`, `b1_`, ...); it prints its own
+/// IRLT_RESULT line, and the first section that does not match ends the
+/// run with its exit status. One section writes exactly the form
+/// above's program (Options.Bindings is not read here).
+ErrorOr<std::string> emitProgram(const LoopNest &Original,
+                                 const LoopNest *Transformed,
+                                 const std::vector<ProgramSection> &Sections,
+                                 const ProgramOptions &Options);
+
 /// The deterministic initial value of flat cell \p Flat of array number
 /// \p ArrayIdx (position in the name-sorted shape list) under \p Seed.
 /// Values stay in [-63, 63] so generated bodies cannot overflow int64

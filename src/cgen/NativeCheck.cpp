@@ -9,6 +9,8 @@
 #include "codegen/CEmitter.h"
 #include "support/Printing.h"
 
+#include <optional>
+
 using namespace irlt;
 using namespace irlt::cgen;
 
@@ -49,73 +51,63 @@ const char *irlt::cgen::nativeCheckStatusName(NativeCheckStatus S) {
   return "unknown";
 }
 
-NativeCheckResult
-irlt::cgen::checkNative(const LoopNest &Original, const LoopNest *Transformed,
-                        const NativeCheckOptions &Options) {
-  NativeCheckResult R;
+namespace {
 
-  std::string Reason = checkEmittable(Original);
-  if (Reason.empty() && Transformed)
-    Reason = checkEmittable(*Transformed);
-  if (!Reason.empty()) {
-    R.Status = NativeCheckStatus::Skipped;
-    R.Detail = "not emittable: " + Reason;
-    return R;
-  }
+NativeCheckResult skipped(std::string Detail) {
+  NativeCheckResult R;
+  R.Status = NativeCheckStatus::Skipped;
+  R.Detail = std::move(Detail);
+  return R;
+}
+
+/// The checks one binding passes before it gets a program section:
+/// every parameter bound, array shapes within the cell cap, and the
+/// optional interpreted reference. \returns the skip that ends the
+/// bindings' list, or nothing after filling \p Section and \p Interp.
+std::optional<NativeCheckResult>
+prepareSection(const LoopNest &Original, const LoopNest *Transformed,
+               const std::map<std::string, int64_t> &Bindings,
+               const NativeCheckOptions &Options, ProgramSection &Section,
+               InterpChecksums &Interp) {
   std::string Missing;
-  if (!allParamsBound(Original, Options.Bindings, Missing) ||
-      (Transformed && !allParamsBound(*Transformed, Options.Bindings,
-                                      Missing))) {
-    R.Status = NativeCheckStatus::Skipped;
-    R.Detail = "unbound scalar parameter: " + Missing;
-    return R;
-  }
+  if (!allParamsBound(Original, Bindings, Missing) ||
+      (Transformed && !allParamsBound(*Transformed, Bindings, Missing)))
+    return skipped("unbound scalar parameter: " + Missing);
 
   ErrorOr<std::vector<ArrayShape>> Shapes =
-      arrayShapes(Original, Options.Bindings, Options.InterpMaxInstances);
-  if (!Shapes) {
-    R.Status = NativeCheckStatus::Skipped;
-    R.Detail = "no shapes: " + Shapes.message();
-    return R;
-  }
+      arrayShapes(Original, Bindings, Options.InterpMaxInstances);
+  if (!Shapes)
+    return skipped("no shapes: " + Shapes.message());
   for (const ArrayShape &S : *Shapes)
-    if (S.cells() > Options.MaxCells) {
-      R.Status = NativeCheckStatus::Skipped;
-      R.Detail = "array " + S.Name + " above the cell cap";
-      return R;
-    }
-
-  ProgramOptions PO;
-  PO.Seed = Options.Seed;
-  PO.Bindings = Options.Bindings;
-  PO.TimingReps = Options.TimingReps;
-  PO.UseOpenMP = Options.UseOpenMP;
-  PO.MaxCells = Options.MaxCells;
+    if (S.cells() > Options.MaxCells)
+      return skipped("array " + S.Name + " above the cell cap");
 
   // Interpreted reference first: it carries the overflow guard, so any
   // case whose arithmetic would overflow (where native wrapping and
   // interpreted saturation could diverge for reasons unrelated to the
   // transformation) is skipped before native execution.
   if (Options.CrossCheckInterpreter) {
-    R.Interp = interpretChecksums(Original, Transformed, *Shapes, PO,
-                                  Options.InterpMaxInstances);
-    if (!R.Interp.Ok) {
-      R.Status = NativeCheckStatus::Skipped;
-      R.Detail = "interpreter reference unavailable: " + R.Interp.Detail;
-      return R;
-    }
+    ProgramOptions PO;
+    PO.Seed = Options.Seed;
+    PO.Bindings = Bindings;
+    PO.MaxCells = Options.MaxCells;
+    Interp = interpretChecksums(Original, Transformed, *Shapes, PO,
+                                Options.InterpMaxInstances);
+    if (!Interp.Ok)
+      return skipped("interpreter reference unavailable: " + Interp.Detail);
   }
+  Section = {Bindings, Shapes.take()};
+  return std::nullopt;
+}
 
-  ErrorOr<std::string> Program =
-      emitProgram(Original, Transformed, *Shapes, PO);
-  if (!Program) {
-    R.Status = NativeCheckStatus::Skipped;
-    R.Detail = "emission failed: " + Program.message();
-    return R;
-  }
-
-  R.Native = runNative(*Program, Options.Runner);
-  switch (R.Native.Status) {
+/// The verdict on one section's run.
+NativeCheckResult classify(const NativeResult &Native,
+                           const InterpChecksums &Interp,
+                           const NativeCheckOptions &Options) {
+  NativeCheckResult R;
+  R.Native = Native;
+  R.Interp = Interp;
+  switch (Native.Status) {
   case NativeStatus::NoCompiler:
     R.Status = NativeCheckStatus::Unavailable;
     R.Detail = "no host C compiler";
@@ -125,14 +117,14 @@ irlt::cgen::checkNative(const LoopNest &Original, const LoopNest *Transformed,
   case NativeStatus::RunError:
   case NativeStatus::BadOutput:
     R.Status = NativeCheckStatus::Failed;
-    R.Detail = std::string("native run failed: ") +
-               nativeStatusName(R.Native.Status);
+    R.Detail =
+        std::string("native run failed: ") + nativeStatusName(Native.Status);
     return R;
   case NativeStatus::Mismatch:
     R.Status = NativeCheckStatus::Mismatch;
-    R.Detail = "native mismatch: original " + hex64(R.Native.ChecksumOriginal) +
-               " vs transformed " + hex64(R.Native.ChecksumTransformed) +
-               (R.Native.OobOriginal != R.Native.OobTransformed
+    R.Detail = "native mismatch: original " + hex64(Native.ChecksumOriginal) +
+               " vs transformed " + hex64(Native.ChecksumTransformed) +
+               (Native.OobOriginal != Native.OobTransformed
                     ? " (out-of-shape access counts differ)"
                     : "");
     return R;
@@ -141,17 +133,70 @@ irlt::cgen::checkNative(const LoopNest &Original, const LoopNest *Transformed,
   }
 
   if (Options.CrossCheckInterpreter &&
-      (R.Interp.Original != R.Native.ChecksumOriginal ||
-       R.Interp.Transformed != R.Native.ChecksumTransformed)) {
+      (Interp.Original != Native.ChecksumOriginal ||
+       Interp.Transformed != Native.ChecksumTransformed)) {
     R.Status = NativeCheckStatus::InterpDiverged;
     R.Detail = "interpreter/native divergence: interpreted " +
-               hex64(R.Interp.Original) + "/" + hex64(R.Interp.Transformed) +
-               " vs native " + hex64(R.Native.ChecksumOriginal) + "/" +
-               hex64(R.Native.ChecksumTransformed);
+               hex64(Interp.Original) + "/" + hex64(Interp.Transformed) +
+               " vs native " + hex64(Native.ChecksumOriginal) + "/" +
+               hex64(Native.ChecksumTransformed);
     return R;
   }
 
   R.Status = NativeCheckStatus::Match;
-  R.Detail = "native match: checksum " + hex64(R.Native.ChecksumOriginal);
+  R.Detail = "native match: checksum " + hex64(Native.ChecksumOriginal);
   return R;
+}
+
+} // namespace
+
+std::vector<NativeCheckResult>
+irlt::cgen::checkNative(const LoopNest &Original, const LoopNest *Transformed,
+                        const NativeCheckOptions &Options) {
+  std::string Reason = checkEmittable(Original);
+  if (Reason.empty() && Transformed)
+    Reason = checkEmittable(*Transformed);
+  if (!Reason.empty())
+    return {skipped("not emittable: " + Reason)};
+
+  // The first binding that cannot get a section ends the list; the
+  // bindings before it are compiled and run.
+  std::vector<ProgramSection> Sections;
+  std::vector<InterpChecksums> Interp;
+  std::optional<NativeCheckResult> Stop;
+  for (const auto &Bindings : Options.Bindings) {
+    ProgramSection Section;
+    InterpChecksums Reference;
+    Stop = prepareSection(Original, Transformed, Bindings, Options, Section,
+                          Reference);
+    if (Stop)
+      break;
+    Sections.push_back(std::move(Section));
+    Interp.push_back(std::move(Reference));
+  }
+
+  std::vector<NativeCheckResult> Out;
+  if (!Sections.empty()) {
+    ProgramOptions PO;
+    PO.Seed = Options.Seed;
+    PO.TimingReps = Options.TimingReps;
+    PO.UseOpenMP = Options.UseOpenMP;
+    PO.MaxCells = Options.MaxCells;
+    ErrorOr<std::string> Program =
+        emitProgram(Original, Transformed, Sections, PO);
+    if (!Program)
+      return {skipped("emission failed: " + Program.message())};
+
+    NativeRunOptions RO = Options.Runner;
+    RO.Sections = static_cast<unsigned>(Sections.size());
+    NativeResult Run = runNative(*Program, RO);
+    for (size_t I = 0; I < Run.Sections.size(); ++I) {
+      Out.push_back(classify(Run.Sections[I], Interp[I], Options));
+      if (Out.back().Status != NativeCheckStatus::Match)
+        return Out;
+    }
+  }
+  if (Stop)
+    Out.push_back(std::move(*Stop));
+  return Out;
 }

@@ -10,9 +10,11 @@
 /// The orchestration layer over Cgen.h + NativeRunner.h that the
 /// witness validator, the fuzzer's `--native` oracle, and the tools
 /// share: shape-infer, optionally cross-check the interpreter on the
-/// same seeded images, emit, compile, run, classify. Every outcome is
-/// a NativeCheckStatus; Detail strings are deterministic (no compiler
-/// logs or timings) so engine output stays byte-identical across runs.
+/// same seeded images, emit, compile, run, classify. A list of bindings
+/// is one program with a section per binding, so it costs one compile
+/// and one run. Every outcome is a NativeCheckStatus; Detail strings
+/// are deterministic (no compiler logs or timings) so engine output
+/// stays byte-identical across runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace irlt {
 namespace cgen {
@@ -47,7 +50,8 @@ const char *nativeCheckStatusName(NativeCheckStatus S);
 
 struct NativeCheckOptions {
   uint64_t Seed = 42;
-  std::map<std::string, int64_t> Bindings;
+  /// Checked in order, one program section each.
+  std::vector<std::map<std::string, int64_t>> Bindings;
   unsigned TimingReps = 0;
   bool UseOpenMP = true;
   uint64_t MaxCells = 1ull << 23;
@@ -69,11 +73,15 @@ struct NativeCheckResult {
   InterpChecksums Interp;
 };
 
-/// Full pipeline: emittability, shapes, optional interpreted reference,
-/// emit, compile, run, classify. \p Transformed may be null.
-NativeCheckResult checkNative(const LoopNest &Original,
-                              const LoopNest *Transformed,
-                              const NativeCheckOptions &Options);
+/// Full pipeline: emittability, then shapes and the optional interpreted
+/// reference per binding, then one program with a section per binding,
+/// one compile, one run, and a verdict per section. \returns one result
+/// per binding, in order, ending at the first that is not a Match: the
+/// bindings after it are not run, as if each were checked alone and the
+/// caller stopped there. \p Transformed may be null.
+std::vector<NativeCheckResult> checkNative(const LoopNest &Original,
+                                           const LoopNest *Transformed,
+                                           const NativeCheckOptions &Options);
 
 } // namespace cgen
 } // namespace irlt

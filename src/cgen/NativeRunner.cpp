@@ -8,26 +8,30 @@
 
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <thread>
-#include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace irlt;
 using namespace irlt::cgen;
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /// Outcome of one child process run.
 struct ProcResult {
@@ -45,11 +49,47 @@ constexpr size_t OutputCap = 1 << 20;
 /// match the shell convention for "command not found".
 constexpr int ExecFailCode = 127;
 
+/// Appends what \p Fd holds now to \p Out (up to OutputCap) without
+/// blocking. \returns false once the writers have all closed it.
+bool drain(int Fd, std::string &Out) {
+  char Buf[4096];
+  for (;;) {
+    ssize_t N = read(Fd, Buf, sizeof(Buf));
+    if (N == 0)
+      return false;
+    if (N < 0)
+      return errno == EAGAIN || errno == EINTR;
+    if (Out.size() < OutputCap)
+      Out.append(Buf, Buf + std::min<size_t>(static_cast<size_t>(N),
+                                             OutputCap - Out.size()));
+  }
+}
+
 /// Runs \p Argv with stdout+stderr captured, killing the whole process
-/// group at the deadline.
+/// group at the timeout; a zero timeout starts nothing. \p Env, when
+/// given, is the child's whole environment. Everything the child needs
+/// is built before the fork: the child of a multi-threaded process may
+/// only make async-signal-safe calls.
 ProcResult runProcess(const std::vector<std::string> &Argv,
-                      uint64_t TimeoutMs) {
+                      uint64_t TimeoutMs,
+                      const std::vector<std::string> *Env = nullptr) {
   ProcResult R;
+  if (TimeoutMs == 0) {
+    R.Started = true;
+    R.TimedOut = true;
+    return R;
+  }
+
+  std::vector<char *> Args;
+  for (const std::string &A : Argv)
+    Args.push_back(const_cast<char *>(A.c_str()));
+  Args.push_back(nullptr);
+  std::vector<char *> Envp;
+  if (Env) {
+    for (const std::string &E : *Env)
+      Envp.push_back(const_cast<char *>(E.c_str()));
+    Envp.push_back(nullptr);
+  }
 
   // Close-on-exec, so a compiler or kernel another thread forks at the
   // same time does not inherit this capture pipe.
@@ -68,56 +108,62 @@ ProcResult runProcess(const std::vector<std::string> &Argv,
     setpgid(0, 0);
     dup2(Pipe[1], STDOUT_FILENO);
     dup2(Pipe[1], STDERR_FILENO);
-    close(Pipe[0]);
-    close(Pipe[1]);
-    std::vector<char *> Args;
-    Args.reserve(Argv.size() + 1);
-    for (const std::string &A : Argv)
-      Args.push_back(const_cast<char *>(A.c_str()));
-    Args.push_back(nullptr);
-    execvp(Args[0], Args.data());
+    if (Env)
+      execvpe(Args[0], Args.data(), Envp.data());
+    else
+      execvp(Args[0], Args.data());
     _exit(ExecFailCode);
   }
 
-  // Parent.
+  // Parent. Setting the group here too closes the race with a kill
+  // that comes before the child has run.
   R.Started = true;
+  setpgid(Pid, Pid);
   close(Pipe[1]);
   fcntl(Pipe[0], F_SETFL, O_NONBLOCK);
+  // Readable once the child exits; -1 on kernels before Linux 5.3.
+  int PidFd = static_cast<int>(syscall(SYS_pidfd_open, Pid, 0));
 
-  auto Deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(TimeoutMs);
-  bool Exited = false;
+  auto Deadline = Clock::now() + std::chrono::milliseconds(TimeoutMs);
+  bool Exited = false, PipeOpen = true;
   int Status = 0;
-  char Buf[4096];
   for (;;) {
-    ssize_t N;
-    while ((N = read(Pipe[0], Buf, sizeof(Buf))) > 0)
-      if (R.Output.size() < OutputCap)
-        R.Output.append(Buf, Buf + std::min<size_t>(
-                                       static_cast<size_t>(N),
-                                       OutputCap - R.Output.size()));
-    pid_t W = waitpid(Pid, &Status, WNOHANG);
-    if (W == Pid) {
+    if (PipeOpen)
+      PipeOpen = drain(Pipe[0], R.Output);
+    if (waitpid(Pid, &Status, WNOHANG) == Pid) {
       Exited = true;
       break;
     }
-    if (std::chrono::steady_clock::now() >= Deadline) {
+    auto Now = Clock::now();
+    if (Now >= Deadline) {
       kill(-Pid, SIGKILL);
       kill(Pid, SIGKILL);
       waitpid(Pid, &Status, 0);
       R.TimedOut = true;
       break;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Sleep until the child writes or exits. Without a pidfd nothing
+    // signals an exit while a grandchild still holds the pipe, or after
+    // the pipe has closed, so then the wait is a short one.
+    auto Left = std::chrono::ceil<std::chrono::milliseconds>(Deadline - Now);
+    int WaitMs = static_cast<int>(std::min<int64_t>(Left.count(), 1 << 30));
+    if (PidFd < 0)
+      WaitMs = std::min(WaitMs, PipeOpen ? 10 : 1);
+    pollfd Fds[2];
+    nfds_t NumFds = 0;
+    if (PipeOpen)
+      Fds[NumFds++] = {Pipe[0], POLLIN, 0};
+    if (PidFd >= 0)
+      Fds[NumFds++] = {PidFd, POLLIN, 0};
+    poll(Fds, NumFds, WaitMs);
   }
 
   // Drain whatever arrived between the last read and exit.
-  ssize_t N;
-  while ((N = read(Pipe[0], Buf, sizeof(Buf))) > 0)
-    if (R.Output.size() < OutputCap)
-      R.Output.append(Buf, Buf + std::min<size_t>(static_cast<size_t>(N),
-                                                  OutputCap - R.Output.size()));
+  if (PipeOpen)
+    drain(Pipe[0], R.Output);
   close(Pipe[0]);
+  if (PidFd >= 0)
+    close(PidFd);
 
   if (Exited) {
     if (WIFEXITED(Status)) {
@@ -135,6 +181,18 @@ bool answersVersion(const std::string &CC) {
   return R.Started && !R.TimedOut && R.ExitCode == 0;
 }
 
+/// The environment a harness binary starts with: the caller's, plus
+/// OMP_WAIT_POLICY=passive when the caller leaves it unset. Spinning
+/// OpenMP workers stretch a 2-3 ms harness run to 27-60 ms.
+std::vector<std::string> harnessEnvironment() {
+  std::vector<std::string> Env;
+  for (char **E = environ; *E; ++E)
+    Env.emplace_back(*E);
+  if (!getenv("OMP_WAIT_POLICY"))
+    Env.emplace_back("OMP_WAIT_POLICY=passive");
+  return Env;
+}
+
 /// First line (or first 400 chars) of a tool's output, for diagnostics.
 std::string excerpt(const std::string &Output) {
   std::string S = Output.substr(0, 400);
@@ -147,6 +205,105 @@ std::string excerpt(const std::string &Output) {
 uint64_t hexField(const json::JsonValue &Obj, std::string_view Key) {
   std::string S = Obj.stringOr(Key, "0x0");
   return strtoull(S.c_str(), nullptr, 16);
+}
+
+/// The text after every "IRLT_RESULT " tag in \p Output, to its line end.
+std::vector<std::string> resultLines(const std::string &Output) {
+  constexpr std::string_view Tag = "IRLT_RESULT ";
+  std::vector<std::string> Lines;
+  size_t Pos = Output.find(Tag);
+  while (Pos != std::string::npos) {
+    size_t Begin = Pos + Tag.size();
+    size_t End = Output.find('\n', Begin);
+    Lines.push_back(Output.substr(
+        Begin, End == std::string::npos ? std::string::npos : End - Begin));
+    Pos = End == std::string::npos ? End : Output.find(Tag, End);
+  }
+  return Lines;
+}
+
+/// One section's result from its IRLT_RESULT record and the status its
+/// section returned.
+NativeResult sectionResult(const std::string &Line, int ExitCode,
+                           const std::string &Note) {
+  NativeResult S;
+  S.ExitCode = ExitCode;
+  ErrorOr<json::JsonValue> J = json::JsonValue::parse(Line);
+  if (!J || !J->isObject()) {
+    S.Status = NativeStatus::BadOutput;
+    S.Detail = "unparseable IRLT_RESULT: " + excerpt(Line);
+    return S;
+  }
+  S.Match = J->boolOr("match", false);
+  S.ChecksumOriginal = hexField(*J, "checksum_original");
+  S.ChecksumTransformed = hexField(*J, "checksum_transformed");
+  S.OobOriginal = static_cast<uint64_t>(J->intOr("oob_original", 0));
+  S.OobTransformed = static_cast<uint64_t>(J->intOr("oob_transformed", 0));
+  S.NsOriginal = static_cast<uint64_t>(J->intOr("ns_original", 0));
+  S.NsTransformed = static_cast<uint64_t>(J->intOr("ns_transformed", 0));
+  S.Threads = J->intOr("threads", 1);
+  S.Cells = J->intOr("cells", 0);
+
+  if (ExitCode == 0 && S.Match) {
+    S.Status = NativeStatus::Ok;
+    S.Detail = "match" + Note;
+  } else if (ExitCode == 7 || !S.Match) {
+    S.Status = NativeStatus::Mismatch;
+    S.Detail = "harness reported mismatch" + Note;
+  } else {
+    S.Status = NativeStatus::RunError;
+    S.Detail = "unexpected exit " + std::to_string(ExitCode) + Note;
+  }
+  return S;
+}
+
+/// Splits a finished run into per-section results (see NativeResult::
+/// Sections). Each section's main returns 0 (match) or 7 and the program
+/// stops at the first nonzero one, so every record but the last comes
+/// from a section that returned 0, and the way the process ended belongs
+/// to the section of the last record or, when it was killed, to the one
+/// after it.
+std::vector<NativeResult> splitSections(const ProcResult &Run,
+                                        unsigned NumSections,
+                                        uint64_t TimeoutMs,
+                                        const std::string &Note) {
+  std::vector<std::string> Lines = resultLines(Run.Output);
+  size_t Last = std::max(NumSections, 1u) - 1;
+  bool Killed = Run.TimedOut || Run.Signal != 0;
+  size_t EndedIn =
+      std::min(Killed ? Lines.size() : Lines.size() - !Lines.empty(), Last);
+  std::vector<NativeResult> Sections;
+  for (size_t I = 0; I <= EndedIn; ++I) {
+    NativeResult S;
+    if (I == EndedIn && Run.TimedOut) {
+      S.Status = NativeStatus::RunTimeout;
+      S.Detail = "binary exceeded " + std::to_string(TimeoutMs) +
+                 " ms and was killed";
+    } else if (I == EndedIn && Run.Signal != 0) {
+      S.Status = NativeStatus::RunError;
+      S.Detail = "binary killed by signal " + std::to_string(Run.Signal);
+    } else if (I == Lines.size()) {
+      S.Status = NativeStatus::BadOutput;
+      S.ExitCode = Run.ExitCode;
+      S.Detail = "no IRLT_RESULT line (exit " + std::to_string(Run.ExitCode) +
+                 "): " + excerpt(Run.Output);
+    } else {
+      S = sectionResult(Lines[I], I == EndedIn ? Run.ExitCode : 0, Note);
+    }
+    Sections.push_back(std::move(S));
+    if (Sections.back().Status != NativeStatus::Ok)
+      return Sections;
+  }
+  // The program exited cleanly before every section had reported.
+  if (Sections.size() <= Last) {
+    NativeResult S;
+    S.Status = NativeStatus::BadOutput;
+    S.ExitCode = Run.ExitCode;
+    S.Detail = "no IRLT_RESULT line (exit " + std::to_string(Run.ExitCode) +
+               "): " + excerpt(Run.Output);
+    Sections.push_back(std::move(S));
+  }
+  return Sections;
 }
 
 } // namespace
@@ -183,14 +340,28 @@ const char *irlt::cgen::nativeStatusName(NativeStatus S) {
 NativeResult irlt::cgen::runNative(const std::string &Program,
                                    const NativeRunOptions &Options) {
   NativeResult R;
+  // A run that ends before any section does: one entry, the result itself.
+  auto failed = [&R](NativeStatus S, std::string Detail) {
+    R.Status = S;
+    R.Detail = std::move(Detail);
+    R.Sections = {R};
+    return R;
+  };
+  // A timeout, capped at the time left before Options.Deadline.
+  auto capped = [&Options](uint64_t TimeoutMs) -> uint64_t {
+    if (!Options.Deadline)
+      return TimeoutMs;
+    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                    *Options.Deadline - Clock::now())
+                    .count();
+    return Left <= 0 ? 0 : std::min(TimeoutMs, static_cast<uint64_t>(Left));
+  };
 
   std::string CC = Options.Compiler.empty() ? probeCompiler()
                                             : Options.Compiler;
-  if (CC.empty()) {
-    R.Status = NativeStatus::NoCompiler;
-    R.Detail = "no host C compiler (set IRLT_CC or install cc/gcc/clang)";
-    return R;
-  }
+  if (CC.empty())
+    return failed(NativeStatus::NoCompiler,
+                  "no host C compiler (set IRLT_CC or install cc/gcc/clang)");
 
   // Scratch directory.
   std::string Dir = Options.WorkDir;
@@ -201,11 +372,9 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
         std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/irlt-cgen-XXXXXX";
     std::vector<char> Buf(Templ.begin(), Templ.end());
     Buf.push_back('\0');
-    if (!mkdtemp(Buf.data())) {
-      R.Status = NativeStatus::RunError;
-      R.Detail = std::string("mkdtemp failed: ") + strerror(errno);
-      return R;
-    }
+    if (!mkdtemp(Buf.data()))
+      return failed(NativeStatus::RunError,
+                    std::string("mkdtemp failed: ") + strerror(errno));
     Dir = Buf.data();
     OwnDir = true;
   }
@@ -219,16 +388,16 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
     if (OwnDir)
       rmdir(Dir.c_str());
   };
+  auto fail = [&](NativeStatus S, std::string Detail) {
+    Cleanup();
+    return failed(S, std::move(Detail));
+  };
 
   {
     std::ofstream Out(Src, std::ios::binary);
     Out << Program;
-    if (!Out) {
-      R.Status = NativeStatus::RunError;
-      R.Detail = "cannot write " + Src;
-      Cleanup();
-      return R;
-    }
+    if (!Out)
+      return fail(NativeStatus::RunError, "cannot write " + Src);
   }
   if (Options.KeepFiles)
     R.SourcePath = Src;
@@ -243,100 +412,41 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
     A.insert(A.end(), {"-o", Bin, Src, "-lm"});
     return A;
   };
-  ProcResult C = runProcess(CompileArgv(Options.OpenMP),
-                            Options.CompileTimeoutMs);
+  uint64_t CompileMs = capped(Options.CompileTimeoutMs);
+  ProcResult C = runProcess(CompileArgv(Options.OpenMP), CompileMs);
   std::string Note;
   if (Options.OpenMP && C.Started && !C.TimedOut && C.ExitCode != 0 &&
       !C.ExecFailed) {
     // Some host compilers lack libomp; fall back to serial.
-    C = runProcess(CompileArgv(false), Options.CompileTimeoutMs);
+    CompileMs = capped(Options.CompileTimeoutMs);
+    C = runProcess(CompileArgv(false), CompileMs);
     Note = " (OpenMP unavailable; compiled serial)";
   }
-  if (!C.Started || C.ExecFailed) {
-    R.Status = NativeStatus::NoCompiler;
-    R.Detail = "compiler '" + CC + "' could not be executed";
-    Cleanup();
-    return R;
-  }
-  if (C.TimedOut) {
-    R.Status = NativeStatus::CompileError;
-    R.Detail = "compilation exceeded " +
-               std::to_string(Options.CompileTimeoutMs) + " ms";
-    Cleanup();
-    return R;
-  }
-  if (C.ExitCode != 0) {
-    R.Status = NativeStatus::CompileError;
-    R.Detail = "compiler exited " + std::to_string(C.ExitCode) + ": " +
-               excerpt(C.Output);
-    Cleanup();
-    return R;
-  }
+  if (!C.Started || C.ExecFailed)
+    return fail(NativeStatus::NoCompiler,
+                "compiler '" + CC + "' could not be executed");
+  if (C.TimedOut)
+    return fail(NativeStatus::CompileError,
+                "compilation exceeded " + std::to_string(CompileMs) + " ms");
+  if (C.ExitCode != 0)
+    return fail(NativeStatus::CompileError,
+                "compiler exited " + std::to_string(C.ExitCode) + ": " +
+                    excerpt(C.Output));
 
   // Run.
-  ProcResult Run = runProcess({Bin}, Options.RunTimeoutMs);
-  if (!Run.Started) {
-    R.Status = NativeStatus::RunError;
-    R.Detail = "could not start " + Bin;
-    Cleanup();
-    return R;
-  }
-  if (Run.TimedOut) {
-    R.Status = NativeStatus::RunTimeout;
-    R.Detail = "binary exceeded " + std::to_string(Options.RunTimeoutMs) +
-               " ms and was killed";
-    Cleanup();
-    return R;
-  }
-  if (Run.Signal != 0) {
-    R.Status = NativeStatus::RunError;
-    R.Detail = "binary killed by signal " + std::to_string(Run.Signal);
-    Cleanup();
-    return R;
-  }
-  R.ExitCode = Run.ExitCode;
+  uint64_t RunMs =
+      capped(Options.RunTimeoutMs * std::max(Options.Sections, 1u));
+  std::vector<std::string> Env = harnessEnvironment();
+  ProcResult Run = runProcess({Bin}, RunMs, &Env);
+  if (!Run.Started)
+    return fail(NativeStatus::RunError, "could not start " + Bin);
 
-  // Parse the IRLT_RESULT line.
-  size_t Pos = Run.Output.find("IRLT_RESULT ");
-  if (Pos == std::string::npos) {
-    R.Status = NativeStatus::BadOutput;
-    R.Detail = "no IRLT_RESULT line (exit " + std::to_string(Run.ExitCode) +
-               "): " + excerpt(Run.Output);
-    Cleanup();
-    return R;
-  }
-  size_t End = Run.Output.find('\n', Pos);
-  std::string Line = Run.Output.substr(
-      Pos + strlen("IRLT_RESULT "),
-      End == std::string::npos ? std::string::npos
-                               : End - Pos - strlen("IRLT_RESULT "));
-  ErrorOr<json::JsonValue> J = json::JsonValue::parse(Line);
-  if (!J || !J->isObject()) {
-    R.Status = NativeStatus::BadOutput;
-    R.Detail = "unparseable IRLT_RESULT: " + excerpt(Line);
-    Cleanup();
-    return R;
-  }
-  R.Match = J->boolOr("match", false);
-  R.ChecksumOriginal = hexField(*J, "checksum_original");
-  R.ChecksumTransformed = hexField(*J, "checksum_transformed");
-  R.OobOriginal = static_cast<uint64_t>(J->intOr("oob_original", 0));
-  R.OobTransformed = static_cast<uint64_t>(J->intOr("oob_transformed", 0));
-  R.NsOriginal = static_cast<uint64_t>(J->intOr("ns_original", 0));
-  R.NsTransformed = static_cast<uint64_t>(J->intOr("ns_transformed", 0));
-  R.Threads = J->intOr("threads", 1);
-  R.Cells = J->intOr("cells", 0);
-
-  if (Run.ExitCode == 0 && R.Match) {
-    R.Status = NativeStatus::Ok;
-    R.Detail = "match" + Note;
-  } else if (Run.ExitCode == 7 || !R.Match) {
-    R.Status = NativeStatus::Mismatch;
-    R.Detail = "harness reported mismatch" + Note;
-  } else {
-    R.Status = NativeStatus::RunError;
-    R.Detail = "unexpected exit " + std::to_string(Run.ExitCode) + Note;
-  }
+  std::vector<NativeResult> Sections =
+      splitSections(Run, Options.Sections, RunMs, Note);
+  NativeResult First = Sections.front();
+  First.ExitCode = Run.ExitCode;
+  First.SourcePath = R.SourcePath;
+  First.Sections = std::move(Sections);
   Cleanup();
-  return R;
+  return First;
 }

@@ -19,13 +19,22 @@
 /// native arithmetic wraps deterministically, and `-fopenmp` is dropped
 /// automatically when the host compiler rejects it.
 ///
+/// Every child runs in its own process group, with its output captured
+/// through a pipe; the runner wakes when the child writes or exits, and
+/// kills the whole group at the timeout. The binary starts with
+/// `OMP_WAIT_POLICY=passive` unless the caller's environment sets that
+/// variable, so idle OpenMP workers sleep instead of spinning.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IRLT_CGEN_NATIVERUNNER_H
 #define IRLT_CGEN_NATIVERUNNER_H
 
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace irlt {
 namespace cgen {
@@ -53,13 +62,22 @@ struct NativeRunOptions {
   /// Pass -fopenmp (retried without it if the compiler rejects it).
   bool OpenMP = true;
   uint64_t CompileTimeoutMs = 120000;
+  /// Per section: the run may take Sections times this.
   uint64_t RunTimeoutMs = 60000;
+  /// IRLT_RESULT lines the program prints when every section runs
+  /// (emitProgram writes one section per binding).
+  unsigned Sections = 1;
+  /// When set, the compile and the run are each capped at the time left
+  /// before it, and a process still running then is killed with its
+  /// group.
+  std::optional<std::chrono::steady_clock::time_point> Deadline;
   /// Scratch directory; empty means a fresh mkdtemp under TMPDIR.
   std::string WorkDir;
   /// Keep the .c/.bin files instead of deleting them (for reproducers).
   bool KeepFiles = false;
 };
 
+/// The outcome of a run; its fields are those of the first section.
 struct NativeResult {
   NativeStatus Status = NativeStatus::RunError;
   std::string Detail; ///< human-readable; compiler/runtime output excerpt
@@ -75,10 +93,14 @@ struct NativeResult {
   int64_t Cells = 0;
   /// Where the program was written (empty unless KeepFiles).
   std::string SourcePath;
+  /// One result per section, in order, ending at the first that is not
+  /// Ok (the sections after it did not run). A run that failed before
+  /// any section could (no compiler, compile error) has one entry.
+  std::vector<NativeResult> Sections;
 };
 
 /// Writes \p Program to disk, compiles it, runs the binary under the
-/// timeout, and parses the IRLT_RESULT line.
+/// timeout, and parses one IRLT_RESULT line per section.
 NativeResult runNative(const std::string &Program,
                        const NativeRunOptions &Options);
 

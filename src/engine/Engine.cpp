@@ -161,7 +161,7 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
 
   // A deadline can expire before the request is even looked at (queue
   // wait under load); every later check sits on a stage boundary, except
-  // inside the search, which polls it per work unit.
+  // inside the search, which polls it per work unit, and validation.
   auto deadlineRecord = [&](const std::string &Id, const std::string &When) {
     Out.Error = true;
     Out.ErrorKind = errkind::Deadline;
@@ -288,6 +288,8 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
       witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
           Req.ValidateNative, Req.ValidateBudget);
       VO.ReproDir.clear(); // no filesystem writes from engine workers
+      if (DL)
+        VO.Deadline = DL->deadline();
       std::vector<TransformSequence> Cands;
       for (const search::ScoredSequence &S : SR.Top)
         Cands.push_back(S.Seq);
@@ -296,6 +298,10 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
       witness::LadderResult LR =
           timed(Sampler, Stage::Validate,
                 [&] { return P.validate(Nest, Cands, VO); });
+      if (LR.Cancelled) {
+        deadlineRecord(Req.Id, "during stage 'validate'");
+        return Out;
+      }
       witness::writeLadder(W, LR);
       Seq = LR.fellBackToIdentity() ? TransformSequence()
                                     : Cands[static_cast<size_t>(LR.Chosen)];
@@ -371,10 +377,16 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
       witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
           Req.ValidateNative, Req.ValidateBudget);
       VO.ReproDir.clear();
+      if (DL)
+        VO.Deadline = DL->deadline();
       std::vector<TransformSequence> Cands{Seq};
       witness::LadderResult LR =
           timed(Sampler, Stage::Validate,
                 [&] { return P.validate(Nest, Cands, VO); });
+      if (LR.Cancelled) {
+        deadlineRecord(Req.Id, "during stage 'validate'");
+        return Out;
+      }
       witness::writeLadder(W, LR);
       if (LR.fellBackToIdentity())
         Seq = TransformSequence();

@@ -50,6 +50,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,10 +131,11 @@ inline constexpr const char *Internal = "internal";      ///< worker exception
 
 /// A per-request cancellation deadline, checked at stage boundaries:
 /// a request whose deadline has passed is cut off *between* stages with
-/// a structured "deadline" error record. The one stage that can run long,
-/// an auto request's search, also polls it before every work unit and
-/// stops inside the plan stage; a cancelled search is discarded whole, so
-/// no partial state ever escapes. Deadlines are the serve path's tool; the
+/// a structured "deadline" error record. The stages that can run long
+/// also stop inside: an auto request's search polls it before every work
+/// unit, and validation starts no candidate after it and kills a native
+/// compile or run when it passes. A cancelled stage is discarded whole,
+/// so no partial state ever escapes. Deadlines are the serve path's tool; the
 /// batch driver never sets one (it would break byte-identical replay).
 class DeadlineToken {
 public:
@@ -149,6 +151,10 @@ public:
 
   bool armed() const { return Armed; }
   bool expired() const { return Armed && Clock::now() >= Deadline; }
+  /// The expiry time, when armed.
+  std::optional<Clock::time_point> deadline() const {
+    return Armed ? std::optional<Clock::time_point>(Deadline) : std::nullopt;
+  }
 
 private:
   bool Armed = false;

@@ -443,7 +443,7 @@ CaseOutcome irlt::fuzz::runNativeCase(const FuzzCase &C,
     return O;
 
   cgen::NativeCheckOptions NC;
-  NC.Bindings = Opts.Bindings.front();
+  NC.Bindings = {Opts.Bindings.front()};
   // Serial and small: fuzz throughput wants compile time, not threads,
   // and generated nests are tiny at the fuzz bindings anyway.
   NC.UseOpenMP = false;
@@ -452,7 +452,7 @@ CaseOutcome irlt::fuzz::runNativeCase(const FuzzCase &C,
   NC.CrossCheckInterpreter = true;
   NC.Runner.Compiler = Compiler;
   NC.Runner.OpenMP = false;
-  cgen::NativeCheckResult N = cgen::checkNative(*NestOr, &*Out, NC);
+  cgen::NativeCheckResult N = cgen::checkNative(*NestOr, &*Out, NC).front();
 
   switch (N.Status) {
   case cgen::NativeCheckStatus::Match:

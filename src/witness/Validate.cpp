@@ -158,27 +158,33 @@ CandidateOutcome irlt::witness::validateCandidate(
 
   // Native tier (docs/CODEGEN.md): compile-and-run the differential
   // harness under bindings whose iteration spaces exceed the interpreted
-  // budget. A native mismatch disproves; a missing compiler or an
-  // unemittable nest only annotates the interpreted verdict.
+  // budget, all in one program whose results come back in binding order;
+  // the first binding that does not match decides. A native mismatch
+  // disproves; a missing compiler or an unemittable nest only annotates
+  // the interpreted verdict.
   unsigned NativePassed = 0;
   std::string NativeNote;
   if (Opts.Native) {
-    for (const auto &Binding : Opts.NativeBindings) {
-      cgen::NativeCheckOptions NC;
-      NC.Bindings = Binding;
-      NC.MaxCells = Opts.NativeMaxCells;
-      NC.Runner.RunTimeoutMs = Opts.NativeTimeoutMs;
-      cgen::NativeCheckResult N = cgen::checkNative(Nest, &*Out, NC);
+    cgen::NativeCheckOptions NC;
+    NC.Bindings = Opts.NativeBindings;
+    NC.MaxCells = Opts.NativeMaxCells;
+    NC.Runner.Compiler = Opts.NativeCompiler;
+    NC.Runner.RunTimeoutMs = Opts.NativeTimeoutMs;
+    NC.Runner.Deadline = Opts.Deadline;
+    std::vector<cgen::NativeCheckResult> Results =
+        cgen::checkNative(Nest, &*Out, NC);
+    for (size_t I = 0; I < Results.size(); ++I) {
+      const cgen::NativeCheckResult &N = Results[I];
+      std::string Binding = bindingStr(Opts.NativeBindings[I]);
       if (N.Status == cgen::NativeCheckStatus::Match) {
         ++NativePassed;
         continue;
       }
       if (N.Status == cgen::NativeCheckStatus::Mismatch) {
         R.Status = ValidateStatus::Disproved;
-        R.Detail = "native binding " + bindingStr(Binding) + ": " + N.Detail;
+        R.Detail = "native binding " + Binding + ": " + N.Detail;
         R.Why = Diag::error(N.Detail).inTemplate("validate-native");
-        R.ReproPath =
-            dumpDisproof(Nest, Seq, R, bindingStr(Binding), Opts, "native");
+        R.ReproPath = dumpDisproof(Nest, Seq, R, Binding, Opts, "native");
         return R;
       }
       if (N.Status == cgen::NativeCheckStatus::Unavailable) {
@@ -221,11 +227,27 @@ LadderResult irlt::witness::validateLadder(
     const LoopNest &Nest, const std::vector<TransformSequence> &Candidates,
     const ValidateOptions &Opts) {
   LadderResult R;
+  auto pastDeadline = [&Opts] {
+    return Opts.Deadline && std::chrono::steady_clock::now() >= *Opts.Deadline;
+  };
+  if (pastDeadline()) {
+    R.Cancelled = true;
+    return R;
+  }
+  // Every candidate's native tier shares one compiler probe.
+  ValidateOptions Shared = Opts;
+  if (Shared.Native && Shared.NativeCompiler.empty() && !Candidates.empty())
+    Shared.NativeCompiler = cgen::probeCompiler();
   int FirstInconclusive = -1;
   for (size_t I = 0; I < Candidates.size(); ++I) {
-    CandidateOutcome O = validateCandidate(Nest, Candidates[I], Opts);
+    CandidateOutcome O = validateCandidate(Nest, Candidates[I], Shared);
     ValidateStatus S = O.Status;
     R.Outcomes.push_back(std::move(O));
+    // A candidate that ran past the deadline may have been cut short.
+    if (pastDeadline()) {
+      R.Cancelled = true;
+      return R;
+    }
     if (S == ValidateStatus::Confirmed) {
       R.Chosen = static_cast<int>(I);
       return R;

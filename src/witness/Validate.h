@@ -36,7 +36,9 @@
 #include "support/Json.h"
 #include "witness/Witness.h"
 
+#include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,7 +65,17 @@ struct ValidateOptions {
   bool Native = false;
   std::vector<std::map<std::string, int64_t>> NativeBindings;
   uint64_t NativeMaxCells = 1ull << 23;
+  /// Per native binding: the one run of all of them gets this times
+  /// their number.
   uint64_t NativeTimeoutMs = 60000;
+  /// The host C compiler for the native tier; empty means probe.
+  /// validateLadder probes once for all its candidates.
+  std::string NativeCompiler;
+
+  /// The request's deadline, when it has one: validateLadder starts no
+  /// candidate after it, and the native tier's compile and run are
+  /// killed when it passes (LadderResult::Cancelled).
+  std::optional<std::chrono::steady_clock::time_point> Deadline;
 
   static ValidateOptions defaults();
 
@@ -111,6 +123,9 @@ struct LadderResult {
   /// One outcome per examined candidate (a prefix of the input list:
   /// the walk stops at the first Confirmed candidate).
   std::vector<CandidateOutcome> Outcomes;
+  /// The deadline passed before the walk ended: Chosen is -1, and the
+  /// last outcome may have been cut short.
+  bool Cancelled = false;
 
   bool fellBackToIdentity() const { return Chosen < 0; }
 };
@@ -119,7 +134,8 @@ struct LadderResult {
 /// picks the first Confirmed one. When nothing confirms, the first
 /// Inconclusive candidate is chosen (it was accepted by the legality
 /// test and could not be disproved within budget); when every candidate
-/// is Disproved, the ladder falls back to the identity sequence.
+/// is Disproved, the ladder falls back to the identity sequence. Past
+/// Opts.Deadline the walk stops and reports Cancelled.
 LadderResult validateLadder(const LoopNest &Nest,
                             const std::vector<TransformSequence> &Candidates,
                             const ValidateOptions &Opts =

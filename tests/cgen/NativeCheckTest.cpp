@@ -45,7 +45,7 @@ LoopNest apply(const LoopNest &Nest, const std::string &Script) {
 
 cgen::NativeCheckOptions smallOptions() {
   cgen::NativeCheckOptions NC;
-  NC.Bindings = {{"n", 8}, {"m", 6}};
+  NC.Bindings = {{{"n", 8}, {"m", 6}}};
   NC.UseOpenMP = false;
   NC.Runner.Compiler = hostCompiler();
   NC.Runner.OpenMP = false;
@@ -59,7 +59,8 @@ TEST(NativeCheck, LegalInterchangeMatches) {
   LoopNest N = parse("arrays b\ndo i = 1, n\n  do j = 1, m\n"
                      "    a(i, j) = a(i, j) + b(j)\n  enddo\nenddo\n");
   LoopNest T = apply(N, "interchange 1 2");
-  cgen::NativeCheckResult R = cgen::checkNative(N, &T, smallOptions());
+  cgen::NativeCheckResult R =
+      cgen::checkNative(N, &T, smallOptions()).front();
   EXPECT_EQ(R.Status, cgen::NativeCheckStatus::Match)
       << cgen::nativeCheckStatusName(R.Status) << ": " << R.Detail;
   // The cross-checked interpreter agreed with both native checksums.
@@ -74,7 +75,8 @@ TEST(NativeCheck, IllegalReversalMismatches) {
   // computes a different fixpoint, which the harness must catch.
   LoopNest N = parse("do i = 2, n\n  a(i) = a(i - 1) + 1\nenddo\n");
   LoopNest T = apply(N, "reverse 1");
-  cgen::NativeCheckResult R = cgen::checkNative(N, &T, smallOptions());
+  cgen::NativeCheckResult R =
+      cgen::checkNative(N, &T, smallOptions()).front();
   EXPECT_EQ(R.Status, cgen::NativeCheckStatus::Mismatch)
       << cgen::nativeCheckStatusName(R.Status) << ": " << R.Detail;
   EXPECT_NE(R.Detail.find("native mismatch"), std::string::npos) << R.Detail;
@@ -83,8 +85,8 @@ TEST(NativeCheck, IllegalReversalMismatches) {
 TEST(NativeCheck, UnboundParameterIsSkipped) {
   LoopNest N = parse("do i = 1, n\n  a(i) = a(i) + 1\nenddo\n");
   cgen::NativeCheckOptions NC = smallOptions();
-  NC.Bindings = {{"m", 6}}; // n is free but unbound
-  cgen::NativeCheckResult R = cgen::checkNative(N, &N, NC);
+  NC.Bindings = {{{"m", 6}}}; // n is free but unbound
+  cgen::NativeCheckResult R = cgen::checkNative(N, &N, NC).front();
   EXPECT_EQ(R.Status, cgen::NativeCheckStatus::Skipped)
       << cgen::nativeCheckStatusName(R.Status) << ": " << R.Detail;
 }
@@ -93,9 +95,9 @@ TEST(NativeCheck, CellCapIsSkippedDeterministically) {
   LoopNest N = parse("do i = 1, n\n  do j = 1, n\n"
                      "    a(i, j) = a(i, j) + 1\n  enddo\nenddo\n");
   cgen::NativeCheckOptions NC = smallOptions();
-  NC.Bindings = {{"n", 4096}};
+  NC.Bindings = {{{"n", 4096}}};
   NC.MaxCells = 1u << 10; // 4096 x 4096 cells blow a 1K cap
-  cgen::NativeCheckResult R = cgen::checkNative(N, &N, NC);
+  cgen::NativeCheckResult R = cgen::checkNative(N, &N, NC).front();
   EXPECT_EQ(R.Status, cgen::NativeCheckStatus::Skipped)
       << cgen::nativeCheckStatusName(R.Status) << ": " << R.Detail;
 }
@@ -104,7 +106,7 @@ TEST(NativeCheck, MissingCompilerIsUnavailable) {
   LoopNest N = parse("do i = 1, n\n  a(i) = a(i) + 1\nenddo\n");
   cgen::NativeCheckOptions NC = smallOptions();
   NC.Runner.Compiler = "/nonexistent/irlt-no-such-cc";
-  cgen::NativeCheckResult R = cgen::checkNative(N, &N, NC);
+  cgen::NativeCheckResult R = cgen::checkNative(N, &N, NC).front();
   EXPECT_EQ(R.Status, cgen::NativeCheckStatus::Unavailable)
       << cgen::nativeCheckStatusName(R.Status) << ": " << R.Detail;
   EXPECT_EQ(R.Detail, "no host C compiler");

@@ -16,13 +16,22 @@
 
 #include "serve/Server.h"
 
+#include "cgen/NativeRunner.h"
 #include "serve/Client.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace irlt;
 using namespace irlt::serve;
@@ -446,6 +455,85 @@ TEST(Server, DeadlineCancelsSearchInsidePlanStage) {
   S.requestDrain();
   EXPECT_TRUE(S.run());
   EXPECT_EQ(S.stats().Deadline.load(), 1u);
+}
+
+/// Processes whose command line names \p Path: compilers and harness
+/// binaries working in a scratch directory under it.
+std::vector<std::string> processesUnder(const std::string &Path) {
+  std::vector<std::string> Found;
+  std::error_code EC;
+  for (const auto &E : std::filesystem::directory_iterator("/proc", EC)) {
+    std::ifstream In(E.path() / "cmdline", std::ios::binary);
+    std::string Cmd((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+    std::replace(Cmd.begin(), Cmd.end(), '\0', ' ');
+    if (Cmd.find(Path) != std::string::npos)
+      Found.push_back(E.path().filename().string() + ": " + Cmd);
+  }
+  return Found;
+}
+
+TEST(Server, DeadlineCancelsNativeValidationInsideValidateStage) {
+  if (cgen::probeCompiler().empty())
+    GTEST_SKIP() << "no host C compiler";
+  // Compiler and harness scratch goes under a directory of this test's
+  // own, so a process left running can be found by its arguments.
+  std::filesystem::path Scratch =
+      std::filesystem::path(::testing::TempDir()) /
+      ("irlt-validate-deadline-" + std::to_string(getpid()));
+  std::filesystem::create_directories(Scratch);
+  const char *OldTmp = getenv("TMPDIR");
+  std::optional<std::string> SavedTmp;
+  if (OldTmp)
+    SavedTmp = OldTmp;
+  setenv("TMPDIR", Scratch.c_str(), 1);
+
+  ServeOptions O;
+  O.SocketPath = sockPath("validate-deadline");
+  O.Jobs = 1;
+  Server S(O);
+  auto St = S.start();
+  ASSERT_TRUE(static_cast<bool>(St)) << St.message();
+  {
+    auto C = connectUnix(O.SocketPath);
+    ASSERT_TRUE(static_cast<bool>(C)) << C.message();
+    // The interpreted tier of this nest takes microseconds; one native
+    // compile takes over 100 ms, so the deadline passes inside it.
+    constexpr uint64_t DeadlineMs = 40;
+    std::string Req =
+        R"({"id":"v","deadline_ms":)" + std::to_string(DeadlineMs) +
+        R"(,"nest":"do i = 1, n\n  a(i) = a(i) + 1\nenddo\n",)"
+        R"("script":"reverse 1","validate":"native"})";
+    auto T0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(C->sendFrame(Req));
+    auto P = C->recvFrame(RecvMs);
+    auto Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+    ASSERT_TRUE(static_cast<bool>(P)) << P.message();
+    EXPECT_NE(P->find("\"kind\":\"deadline\""), std::string::npos) << *P;
+    EXPECT_NE(P->find("deadline exceeded during stage 'validate'"),
+              std::string::npos)
+        << *P;
+    EXPECT_LT(Ms, DeadlineMs + 50.0) << "answered after " << Ms << " ms";
+  }
+  // The compile was killed with its process group; give the kernel a
+  // moment to finish delivering SIGKILL to the compiler's children.
+  std::vector<std::string> Left = processesUnder(Scratch.string());
+  for (int I = 0; I < 50 && !Left.empty(); ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Left = processesUnder(Scratch.string());
+  }
+  EXPECT_TRUE(Left.empty()) << Left.size() << " process(es) left, first "
+                            << (Left.empty() ? "" : Left.front());
+  S.requestDrain();
+  EXPECT_TRUE(S.run());
+  EXPECT_EQ(S.stats().Deadline.load(), 1u);
+  if (SavedTmp)
+    setenv("TMPDIR", SavedTmp->c_str(), 1);
+  else
+    unsetenv("TMPDIR");
+  std::filesystem::remove_all(Scratch);
 }
 
 TEST(Server, GarbageBytesGetBadFrameRecordThenClose) {

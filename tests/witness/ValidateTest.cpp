@@ -25,8 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <optional>
+
+#include <unistd.h>
 
 using namespace irlt;
 using namespace irlt::witness;
@@ -306,6 +309,44 @@ TEST(ValidateNative, ConfirmsWhatTheInterpretedBudgetCannot) {
   EXPECT_EQ(R.Outcomes[0].Detail,
             "interpreted budget exhausted, but native execution confirmed 2 "
             "binding(s)");
+}
+
+TEST(ValidateNative, OneCompilePerCandidate) {
+  std::string CC = cgen::probeCompiler();
+  if (CC.empty())
+    GTEST_SKIP() << "no host C compiler";
+  // A compiler wrapper that logs every invocation's arguments.
+  std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("irlt-cc-count-" + std::to_string(getpid()));
+  std::filesystem::create_directories(Dir);
+  std::string Log = (Dir / "argv.log").string();
+  std::string Wrapper = (Dir / "cc-wrapper").string();
+  {
+    std::ofstream W(Wrapper);
+    W << "#!/bin/sh\nprintf '%s\\n' \"$*\" >> '" << Log << "'\nexec '" << CC
+      << "' \"$@\"\n";
+  }
+  std::filesystem::permissions(Wrapper, std::filesystem::perms::owner_all);
+
+  LadderResult R;
+  {
+    ScopedEnv Env("IRLT_CC", Wrapper);
+    R = validateLadder(stencil(), {soundCandidate()}, quietNative());
+  }
+  ASSERT_EQ(R.Outcomes.size(), 1u);
+  EXPECT_EQ(R.Outcomes[0].Detail,
+            "equivalent under 2 binding(s); native-confirmed under 2 "
+            "binding(s)");
+  unsigned Compiles = 0, Probes = 0;
+  std::ifstream In(Log);
+  for (std::string Line; std::getline(In, Line);) {
+    Compiles += Line.find(" -o ") != std::string::npos;
+    Probes += Line == "--version";
+  }
+  EXPECT_EQ(Compiles, 1u) << "one program holds both native bindings";
+  EXPECT_LE(Probes, 1u) << "the ladder probes the compiler once";
+  std::filesystem::remove_all(Dir);
 }
 
 } // namespace
