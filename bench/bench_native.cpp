@@ -12,7 +12,10 @@
 //     {1, 2, 4, 8}, reporting per-thread-count wall-clock;
 //   - native-vs-interpreter: the same kernel timed compiled and under
 //     the bounded interpreter, pinning the execution-budget split that
-//     docs/LEGALITY.md's validation ladder is built on.
+//     docs/LEGALITY.md's validation ladder is built on;
+//   - native validation: the wall-clock time of one validateLadder of
+//     the request benchmark's set-up candidate under nativeDefaults(),
+//     compiler probe, compile and harness run included.
 //
 // Machines without a host C compiler report native_available=0 for
 // every scenario and exit 0, so BENCH_native.json is always written but
@@ -26,6 +29,7 @@
 #include "cgen/NativeRunner.h"
 #include "driver/Script.h"
 #include "eval/Evaluator.h"
+#include "witness/Validate.h"
 
 #include "BenchMain.h"
 
@@ -182,6 +186,35 @@ void BM_NativeVsInterpreter(benchmark::State &State) {
 }
 BENCHMARK(BM_NativeVsInterpreter)->Arg(96)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
+
+/// The native tier as a request meets it: the triangular nest's set-up
+/// candidate (perfbench's auto-search set-up request picks it) through
+/// one validateLadder under nativeDefaults(), timed by wall clock since
+/// the compiler and the harness run in child processes.
+void BM_ValidateNativeCandidate(benchmark::State &State) {
+  if (skipWithoutCompiler(State))
+    return;
+  LoopNest Nest = bench::triangularNest();
+  ErrorOr<TransformSequence> Seq = parseTransformScript(
+      "block 1 2 16 16\nparallelize 1 1 1 1", Nest.numLoops());
+  if (!Seq) {
+    State.SkipWithError(Seq.message().c_str());
+    return;
+  }
+  witness::ValidateOptions Opts = witness::ValidateOptions::nativeDefaults();
+  Opts.ReproDir.clear();
+  bool Confirmed = true;
+  for (auto _ : State) {
+    witness::LadderResult R = witness::validateLadder(Nest, {*Seq}, Opts);
+    Confirmed = Confirmed && R.Chosen == 0 &&
+                R.Outcomes[0].Detail.find("native-confirmed") !=
+                    std::string::npos;
+  }
+  State.counters["native_available"] = 1;
+  State.counters["native_confirmed"] = Confirmed ? 1 : 0;
+}
+BENCHMARK(BM_ValidateNativeCandidate)
+    ->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(8);
 
 } // namespace
 
