@@ -206,6 +206,7 @@ void BM_ValidateNativeCandidate(benchmark::State &State) {
   bool Confirmed = true;
   for (auto _ : State) {
     witness::LadderResult R = witness::validateLadder(Nest, {*Seq}, Opts);
+    benchmark::DoNotOptimize(R.Chosen);
     Confirmed = Confirmed && R.Chosen == 0 &&
                 R.Outcomes[0].Detail.find("native-confirmed") !=
                     std::string::npos;

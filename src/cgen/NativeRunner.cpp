@@ -270,38 +270,29 @@ std::vector<NativeResult> splitSections(const ProcResult &Run,
   std::vector<std::string> Lines = resultLines(Run.Output);
   size_t Last = std::max(NumSections, 1u) - 1;
   bool Killed = Run.TimedOut || Run.Signal != 0;
-  size_t EndedIn =
-      std::min(Killed ? Lines.size() : Lines.size() - !Lines.empty(), Last);
   std::vector<NativeResult> Sections;
-  for (size_t I = 0; I <= EndedIn; ++I) {
+  for (size_t I = 0; I <= Last; ++I) {
     NativeResult S;
-    if (I == EndedIn && Run.TimedOut) {
+    bool KilledHere = Killed && I == std::min(Lines.size(), Last);
+    if (KilledHere && Run.TimedOut) {
       S.Status = NativeStatus::RunTimeout;
       S.Detail = "binary exceeded " + std::to_string(TimeoutMs) +
                  " ms and was killed";
-    } else if (I == EndedIn && Run.Signal != 0) {
+    } else if (KilledHere) {
       S.Status = NativeStatus::RunError;
       S.Detail = "binary killed by signal " + std::to_string(Run.Signal);
-    } else if (I == Lines.size()) {
+    } else if (I >= Lines.size()) {
       S.Status = NativeStatus::BadOutput;
       S.ExitCode = Run.ExitCode;
       S.Detail = "no IRLT_RESULT line (exit " + std::to_string(Run.ExitCode) +
                  "): " + excerpt(Run.Output);
     } else {
-      S = sectionResult(Lines[I], I == EndedIn ? Run.ExitCode : 0, Note);
+      bool EndedHere = !Killed && (I + 1 == Lines.size() || I == Last);
+      S = sectionResult(Lines[I], EndedHere ? Run.ExitCode : 0, Note);
     }
     Sections.push_back(std::move(S));
     if (Sections.back().Status != NativeStatus::Ok)
-      return Sections;
-  }
-  // The program exited cleanly before every section had reported.
-  if (Sections.size() <= Last) {
-    NativeResult S;
-    S.Status = NativeStatus::BadOutput;
-    S.ExitCode = Run.ExitCode;
-    S.Detail = "no IRLT_RESULT line (exit " + std::to_string(Run.ExitCode) +
-               "): " + excerpt(Run.Output);
-    Sections.push_back(std::move(S));
+      break;
   }
   return Sections;
 }

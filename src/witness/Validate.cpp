@@ -95,11 +95,12 @@ std::string dumpDisproof(const LoopNest &Nest, const TransformSequence &Seq,
                                Replay, Tier);
 }
 
-} // namespace
-
-CandidateOutcome irlt::witness::validateCandidate(
-    const LoopNest &Nest, const TransformSequence &Seq,
-    const ValidateOptions &Opts) {
+/// validateCandidate with the native tier's host compiler given (empty
+/// probes it), so a ladder probes once for all its candidates.
+CandidateOutcome validateWith(const LoopNest &Nest,
+                              const TransformSequence &Seq,
+                              const ValidateOptions &Opts,
+                              const std::string &Compiler) {
   CandidateOutcome R;
 
   ErrorOr<LoopNest> Out = applySequence(Seq, Nest);
@@ -168,7 +169,7 @@ CandidateOutcome irlt::witness::validateCandidate(
     cgen::NativeCheckOptions NC;
     NC.Bindings = Opts.NativeBindings;
     NC.MaxCells = Opts.NativeMaxCells;
-    NC.Runner.Compiler = Opts.NativeCompiler;
+    NC.Runner.Compiler = Compiler;
     NC.Runner.RunTimeoutMs = Opts.NativeTimeoutMs;
     NC.Runner.Deadline = Opts.Deadline;
     std::vector<cgen::NativeCheckResult> Results =
@@ -223,6 +224,14 @@ CandidateOutcome irlt::witness::validateCandidate(
   return R;
 }
 
+} // namespace
+
+CandidateOutcome irlt::witness::validateCandidate(
+    const LoopNest &Nest, const TransformSequence &Seq,
+    const ValidateOptions &Opts) {
+  return validateWith(Nest, Seq, Opts, "");
+}
+
 LadderResult irlt::witness::validateLadder(
     const LoopNest &Nest, const std::vector<TransformSequence> &Candidates,
     const ValidateOptions &Opts) {
@@ -235,12 +244,11 @@ LadderResult irlt::witness::validateLadder(
     return R;
   }
   // Every candidate's native tier shares one compiler probe.
-  ValidateOptions Shared = Opts;
-  if (Shared.Native && Shared.NativeCompiler.empty() && !Candidates.empty())
-    Shared.NativeCompiler = cgen::probeCompiler();
+  std::string Compiler =
+      Opts.Native && !Candidates.empty() ? cgen::probeCompiler() : "";
   int FirstInconclusive = -1;
   for (size_t I = 0; I < Candidates.size(); ++I) {
-    CandidateOutcome O = validateCandidate(Nest, Candidates[I], Shared);
+    CandidateOutcome O = validateWith(Nest, Candidates[I], Opts, Compiler);
     ValidateStatus S = O.Status;
     R.Outcomes.push_back(std::move(O));
     // A candidate that ran past the deadline may have been cut short.

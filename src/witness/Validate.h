@@ -68,9 +68,6 @@ struct ValidateOptions {
   /// Per native binding: the one run of all of them gets this times
   /// their number.
   uint64_t NativeTimeoutMs = 60000;
-  /// The host C compiler for the native tier; empty means probe.
-  /// validateLadder probes once for all its candidates.
-  std::string NativeCompiler;
 
   /// The request's deadline, when it has one: validateLadder starts no
   /// candidate after it, and the native tier's compile and run are

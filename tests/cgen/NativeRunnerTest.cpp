@@ -132,6 +132,71 @@ TEST(NativeRunner, SilentBinaryIsBadOutput) {
       << cgen::nativeStatusName(R.Status) << ": " << R.Detail;
 }
 
+/// A two-section program whose first section reports a match and whose
+/// second does \p Then.
+std::string afterOneMatch(const std::string &Then) {
+  return "#include <signal.h>\n#include <stdio.h>\n"
+         "int main(void) {\n"
+         "  puts(\"IRLT_RESULT {\\\"match\\\":true}\");\n"
+         "  fflush(stdout);\n  " +
+         Then + "\n}\n";
+}
+
+cgen::NativeResult runTwoSections(const std::string &Program,
+                                  uint64_t RunTimeoutMs = 60000) {
+  cgen::NativeRunOptions Opts;
+  Opts.Compiler = hostCompiler();
+  Opts.OpenMP = false;
+  Opts.Sections = 2;
+  Opts.RunTimeoutMs = RunTimeoutMs;
+  return cgen::runNative(Program, Opts);
+}
+
+TEST(NativeRunner, LaterSectionCrashKeepsTheEarlierVerdict) {
+  if (hostCompiler().empty())
+    GTEST_SKIP() << "no host C compiler";
+  cgen::NativeResult R = runTwoSections(afterOneMatch("raise(SIGSEGV);"));
+  ASSERT_EQ(R.Sections.size(), 2u);
+  EXPECT_EQ(R.Sections[0].Status, cgen::NativeStatus::Ok);
+  EXPECT_EQ(R.Sections[1].Status, cgen::NativeStatus::RunError)
+      << R.Sections[1].Detail;
+  // The result's own fields are the first section's.
+  EXPECT_EQ(R.Status, cgen::NativeStatus::Ok);
+  EXPECT_TRUE(R.Match);
+}
+
+TEST(NativeRunner, LaterSectionTimeoutKeepsTheEarlierVerdict) {
+  if (hostCompiler().empty())
+    GTEST_SKIP() << "no host C compiler";
+  cgen::NativeResult R =
+      runTwoSections(afterOneMatch("for (;;) { }"), /*RunTimeoutMs=*/150);
+  ASSERT_EQ(R.Sections.size(), 2u);
+  EXPECT_EQ(R.Sections[0].Status, cgen::NativeStatus::Ok);
+  EXPECT_EQ(R.Sections[1].Status, cgen::NativeStatus::RunTimeout)
+      << R.Sections[1].Detail;
+}
+
+TEST(NativeRunner, MismatchEndsTheSections) {
+  if (hostCompiler().empty())
+    GTEST_SKIP() << "no host C compiler";
+  cgen::NativeResult R = runTwoSections(
+      "#include <stdio.h>\nint main(void) {\n"
+      "  puts(\"IRLT_RESULT {\\\"match\\\":false}\");\n  return 7;\n}\n");
+  ASSERT_EQ(R.Sections.size(), 1u);
+  EXPECT_EQ(R.Sections[0].Status, cgen::NativeStatus::Mismatch);
+  EXPECT_EQ(R.ExitCode, 7);
+}
+
+TEST(NativeRunner, MissingSectionLineIsBadOutput) {
+  if (hostCompiler().empty())
+    GTEST_SKIP() << "no host C compiler";
+  cgen::NativeResult R = runTwoSections(afterOneMatch("return 0;"));
+  ASSERT_EQ(R.Sections.size(), 2u);
+  EXPECT_EQ(R.Sections[0].Status, cgen::NativeStatus::Ok);
+  EXPECT_EQ(R.Sections[1].Status, cgen::NativeStatus::BadOutput)
+      << R.Sections[1].Detail;
+}
+
 TEST(NativeRunner, StatusNamesAreStable) {
   EXPECT_STREQ(cgen::nativeStatusName(cgen::NativeStatus::Ok), "ok");
   EXPECT_STREQ(cgen::nativeStatusName(cgen::NativeStatus::Mismatch),
