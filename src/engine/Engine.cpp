@@ -235,6 +235,26 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
   TransformSequence Seq;
   bool SeqLegal = true; // script mode: result of the legality test
 
+  // The validate stage of either mode: the ladder under the request's
+  // budget and deadline, written into the record. Nothing when the
+  // deadline cut the ladder short; Out then holds the deadline record.
+  auto validateStage = [&](const std::vector<TransformSequence> &Cands)
+      -> std::optional<witness::LadderResult> {
+    witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
+        Req.ValidateNative, Req.ValidateBudget);
+    VO.ReproDir.clear(); // no filesystem writes from engine workers
+    if (DL)
+      VO.Deadline = DL->deadline();
+    witness::LadderResult LR = timed(
+        Sampler, Stage::Validate, [&] { return P.validate(Nest, Cands, VO); });
+    if (LR.Cancelled) {
+      deadlineRecord(Req.Id, "during stage 'validate'");
+      return std::nullopt;
+    }
+    witness::writeLadder(W, LR);
+    return LR;
+  };
+
   if (!Req.Auto.empty()) {
     if (deadlineExpired("plan", Req.Id))
       return Out;
@@ -285,26 +305,16 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
     if ((Req.ValidateBudget || Req.ValidateNative) && SR.Best) {
       if (deadlineExpired("validate", Req.Id))
         return Out;
-      witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
-          Req.ValidateNative, Req.ValidateBudget);
-      VO.ReproDir.clear(); // no filesystem writes from engine workers
-      if (DL)
-        VO.Deadline = DL->deadline();
       std::vector<TransformSequence> Cands;
       for (const search::ScoredSequence &S : SR.Top)
         Cands.push_back(S.Seq);
       if (Cands.empty())
         Cands.push_back(SR.Best->Seq);
-      witness::LadderResult LR =
-          timed(Sampler, Stage::Validate,
-                [&] { return P.validate(Nest, Cands, VO); });
-      if (LR.Cancelled) {
-        deadlineRecord(Req.Id, "during stage 'validate'");
+      std::optional<witness::LadderResult> LR = validateStage(Cands);
+      if (!LR)
         return Out;
-      }
-      witness::writeLadder(W, LR);
-      Seq = LR.fellBackToIdentity() ? TransformSequence()
-                                    : Cands[static_cast<size_t>(LR.Chosen)];
+      Seq = LR->fellBackToIdentity() ? TransformSequence()
+                                     : Cands[static_cast<size_t>(LR->Chosen)];
     }
     if (Req.Reduce) {
       OverflowGuard Guard;
@@ -374,21 +384,10 @@ RequestOutcome engine::processRequest(api::Pipeline &P,
     if ((Req.ValidateBudget || Req.ValidateNative) && SeqLegal) {
       if (deadlineExpired("validate", Req.Id))
         return Out;
-      witness::ValidateOptions VO = witness::ValidateOptions::forRequest(
-          Req.ValidateNative, Req.ValidateBudget);
-      VO.ReproDir.clear();
-      if (DL)
-        VO.Deadline = DL->deadline();
-      std::vector<TransformSequence> Cands{Seq};
-      witness::LadderResult LR =
-          timed(Sampler, Stage::Validate,
-                [&] { return P.validate(Nest, Cands, VO); });
-      if (LR.Cancelled) {
-        deadlineRecord(Req.Id, "during stage 'validate'");
+      std::optional<witness::LadderResult> LR = validateStage({Seq});
+      if (!LR)
         return Out;
-      }
-      witness::writeLadder(W, LR);
-      if (LR.fellBackToIdentity())
+      if (LR->fellBackToIdentity())
         Seq = TransformSequence();
     }
   }
