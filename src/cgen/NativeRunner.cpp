@@ -13,7 +13,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -181,15 +183,22 @@ bool answersVersion(const std::string &CC) {
   return R.Started && !R.TimedOut && R.ExitCode == 0;
 }
 
-/// The environment a harness binary starts with: the caller's, plus
-/// OMP_WAIT_POLICY=passive when the caller leaves it unset. Spinning
-/// OpenMP workers stretch a 2-3 ms harness run to 27-60 ms.
-std::vector<std::string> harnessEnvironment() {
+/// The caller's environment with \p Name set to \p Value; when \p Keep,
+/// a value the caller set wins.
+std::vector<std::string> environmentWith(const std::string &Name,
+                                         const std::string &Value,
+                                         bool Keep) {
+  std::string Prefix = Name + "=";
   std::vector<std::string> Env;
-  for (char **E = environ; *E; ++E)
-    Env.emplace_back(*E);
-  if (!getenv("OMP_WAIT_POLICY"))
-    Env.emplace_back("OMP_WAIT_POLICY=passive");
+  bool Set = false;
+  for (char **E = environ; *E; ++E) {
+    bool Match = std::string_view(*E).starts_with(Prefix);
+    Set = Set || Match;
+    if (!Match || Keep)
+      Env.emplace_back(*E);
+  }
+  if (!Set || !Keep)
+    Env.push_back(Prefix + Value);
   return Env;
 }
 
@@ -376,9 +385,17 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
       return;
     remove(Src.c_str());
     remove(Bin.c_str());
+    std::error_code EC;
     if (OwnDir)
-      rmdir(Dir.c_str());
+      std::filesystem::remove_all(Dir, EC);
   };
+  // A compile killed at the deadline leaves the compiler's own temporary
+  // files behind, so in a scratch directory of ours they go there too.
+  std::vector<std::string> CompileEnv;
+  if (OwnDir)
+    CompileEnv = environmentWith("TMPDIR", Dir, /*Keep=*/false);
+  const std::vector<std::string> *CompileEnvOrNull =
+      OwnDir ? &CompileEnv : nullptr;
   auto fail = [&](NativeStatus S, std::string Detail) {
     Cleanup();
     return failed(S, std::move(Detail));
@@ -404,13 +421,14 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
     return A;
   };
   uint64_t CompileMs = capped(Options.CompileTimeoutMs);
-  ProcResult C = runProcess(CompileArgv(Options.OpenMP), CompileMs);
+  ProcResult C =
+      runProcess(CompileArgv(Options.OpenMP), CompileMs, CompileEnvOrNull);
   std::string Note;
   if (Options.OpenMP && C.Started && !C.TimedOut && C.ExitCode != 0 &&
       !C.ExecFailed) {
     // Some host compilers lack libomp; fall back to serial.
     CompileMs = capped(Options.CompileTimeoutMs);
-    C = runProcess(CompileArgv(false), CompileMs);
+    C = runProcess(CompileArgv(false), CompileMs, CompileEnvOrNull);
     Note = " (OpenMP unavailable; compiled serial)";
   }
   if (!C.Started || C.ExecFailed)
@@ -427,7 +445,9 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
   // Run.
   uint64_t RunMs =
       capped(Options.RunTimeoutMs * std::max(Options.Sections, 1u));
-  std::vector<std::string> Env = harnessEnvironment();
+  // Spinning OpenMP workers stretch a 2-4 ms harness run to 24-59 ms.
+  std::vector<std::string> Env =
+      environmentWith("OMP_WAIT_POLICY", "passive", /*Keep=*/true);
   ProcResult Run = runProcess({Bin}, RunMs, &Env);
   if (!Run.Started)
     return fail(NativeStatus::RunError, "could not start " + Bin);

@@ -526,6 +526,10 @@ TEST(Server, DeadlineCancelsNativeValidationInsideValidateStage) {
   }
   EXPECT_TRUE(Left.empty()) << Left.size() << " process(es) left, first "
                             << (Left.empty() ? "" : Left.front());
+  // Nor any file: the compiler's temporaries went with the runner's
+  // scratch directory.
+  EXPECT_TRUE(std::filesystem::is_empty(Scratch))
+      << std::filesystem::directory_iterator(Scratch)->path();
   S.requestDrain();
   EXPECT_TRUE(S.run());
   EXPECT_EQ(S.stats().Deadline.load(), 1u);
