@@ -21,9 +21,11 @@
 ///
 /// Every child runs in its own process group, with its output captured
 /// through a pipe; the runner wakes when the child writes or exits, and
-/// kills the whole group at the timeout. The binary starts with
-/// `OMP_WAIT_POLICY=passive` unless the caller's environment sets that
-/// variable, so idle OpenMP workers sleep instead of spinning.
+/// kills the whole group at the timeout. In a scratch directory the
+/// runner made, the compiler keeps its temporary files there too. The
+/// binary starts with `OMP_WAIT_POLICY=passive` unless the caller's
+/// environment sets that variable, so idle OpenMP workers sleep instead
+/// of spinning.
 ///
 //===----------------------------------------------------------------------===//
 

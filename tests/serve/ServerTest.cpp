@@ -473,6 +473,25 @@ std::vector<std::string> processesUnder(const std::string &Path) {
   return Found;
 }
 
+/// Points TMPDIR at a directory for one scope.
+class TmpDirScope {
+public:
+  explicit TmpDirScope(const std::string &Dir) {
+    if (const char *Old = getenv("TMPDIR"))
+      Saved = Old;
+    setenv("TMPDIR", Dir.c_str(), 1);
+  }
+  ~TmpDirScope() {
+    if (Saved)
+      setenv("TMPDIR", Saved->c_str(), 1);
+    else
+      unsetenv("TMPDIR");
+  }
+
+private:
+  std::optional<std::string> Saved;
+};
+
 TEST(Server, DeadlineCancelsNativeValidationInsideValidateStage) {
   if (cgen::probeCompiler().empty())
     GTEST_SKIP() << "no host C compiler";
@@ -482,11 +501,7 @@ TEST(Server, DeadlineCancelsNativeValidationInsideValidateStage) {
       std::filesystem::path(::testing::TempDir()) /
       ("irlt-validate-deadline-" + std::to_string(getpid()));
   std::filesystem::create_directories(Scratch);
-  const char *OldTmp = getenv("TMPDIR");
-  std::optional<std::string> SavedTmp;
-  if (OldTmp)
-    SavedTmp = OldTmp;
-  setenv("TMPDIR", Scratch.c_str(), 1);
+  TmpDirScope Tmp(Scratch.string());
 
   ServeOptions O;
   O.SocketPath = sockPath("validate-deadline");
@@ -533,10 +548,6 @@ TEST(Server, DeadlineCancelsNativeValidationInsideValidateStage) {
   S.requestDrain();
   EXPECT_TRUE(S.run());
   EXPECT_EQ(S.stats().Deadline.load(), 1u);
-  if (SavedTmp)
-    setenv("TMPDIR", SavedTmp->c_str(), 1);
-  else
-    unsetenv("TMPDIR");
   std::filesystem::remove_all(Scratch);
 }
 
