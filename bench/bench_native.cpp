@@ -195,8 +195,9 @@ void BM_ValidateNativeCandidate(benchmark::State &State) {
   if (skipWithoutCompiler(State))
     return;
   LoopNest Nest = bench::triangularNest();
+  // Block(n=2, i=1, j=2, bsize=[16 16]), Parallelize(parflag=[1 1 1 1]).
   ErrorOr<TransformSequence> Seq = parseTransformScript(
-      "block 1 2 16 16\nparallelize 1 1 1 1", Nest.numLoops());
+      "block 1 2 16 16\nparallelize 1 2 3 4", Nest.numLoops());
   if (!Seq) {
     State.SkipWithError(Seq.message().c_str());
     return;
