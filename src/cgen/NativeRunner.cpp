@@ -68,15 +68,15 @@ bool drain(int Fd, std::string &Out) {
 }
 
 /// Runs \p Argv with stdout+stderr captured, killing the whole process
-/// group at the timeout; a zero timeout starts nothing. \p Env, when
-/// given, is the child's whole environment. Everything the child needs
-/// is built before the fork: the child of a multi-threaded process may
-/// only make async-signal-safe calls.
+/// group once \p Until has passed; nothing starts when it already has.
+/// \p Env, when given, is the child's whole environment. Everything the
+/// child needs is built before the fork: the child of a multi-threaded
+/// process may only make async-signal-safe calls.
 ProcResult runProcess(const std::vector<std::string> &Argv,
-                      uint64_t TimeoutMs,
+                      Clock::time_point Until,
                       const std::vector<std::string> *Env = nullptr) {
   ProcResult R;
-  if (TimeoutMs == 0) {
+  if (Clock::now() >= Until) {
     R.Started = true;
     R.TimedOut = true;
     return R;
@@ -126,7 +126,6 @@ ProcResult runProcess(const std::vector<std::string> &Argv,
   // Readable once the child exits; -1 on kernels before Linux 5.3.
   int PidFd = static_cast<int>(syscall(SYS_pidfd_open, Pid, 0));
 
-  auto Deadline = Clock::now() + std::chrono::milliseconds(TimeoutMs);
   bool Exited = false, PipeOpen = true;
   int Status = 0;
   for (;;) {
@@ -137,7 +136,7 @@ ProcResult runProcess(const std::vector<std::string> &Argv,
       break;
     }
     auto Now = Clock::now();
-    if (Now >= Deadline) {
+    if (Now >= Until) {
       kill(-Pid, SIGKILL);
       kill(Pid, SIGKILL);
       waitpid(Pid, &Status, 0);
@@ -147,7 +146,7 @@ ProcResult runProcess(const std::vector<std::string> &Argv,
     // Sleep until the child writes or exits. Without a pidfd nothing
     // signals an exit while a grandchild still holds the pipe, or after
     // the pipe has closed, so then the wait is a short one.
-    auto Left = std::chrono::ceil<std::chrono::milliseconds>(Deadline - Now);
+    auto Left = std::chrono::ceil<std::chrono::milliseconds>(Until - Now);
     int WaitMs = static_cast<int>(std::min<int64_t>(Left.count(), 1 << 30));
     if (PidFd < 0)
       WaitMs = std::min(WaitMs, PipeOpen ? 10 : 1);
@@ -179,7 +178,8 @@ ProcResult runProcess(const std::vector<std::string> &Argv,
 }
 
 bool answersVersion(const std::string &CC) {
-  ProcResult R = runProcess({CC, "--version"}, 10000);
+  ProcResult R =
+      runProcess({CC, "--version"}, Clock::now() + std::chrono::seconds(10));
   return R.Started && !R.TimedOut && R.ExitCode == 0;
 }
 
@@ -274,7 +274,7 @@ NativeResult sectionResult(const std::string &Line, int ExitCode,
 /// after it.
 std::vector<NativeResult> splitSections(const ProcResult &Run,
                                         unsigned NumSections,
-                                        uint64_t TimeoutMs,
+                                        const std::string &TimeoutMs,
                                         const std::string &Note) {
   std::vector<std::string> Lines = resultLines(Run.Output);
   size_t Last = std::max(NumSections, 1u) - 1;
@@ -285,7 +285,7 @@ std::vector<NativeResult> splitSections(const ProcResult &Run,
     bool KilledHere = Killed && I == std::min(Lines.size(), Last);
     if (KilledHere && Run.TimedOut) {
       S.Status = NativeStatus::RunTimeout;
-      S.Detail = "binary exceeded " + std::to_string(TimeoutMs) +
+      S.Detail = "binary exceeded " + TimeoutMs +
                  " ms and was killed";
     } else if (KilledHere) {
       S.Status = NativeStatus::RunError;
@@ -347,14 +347,19 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
     R.Sections = {R};
     return R;
   };
-  // A timeout, capped at the time left before Options.Deadline.
-  auto capped = [&Options](uint64_t TimeoutMs) -> uint64_t {
-    if (!Options.Deadline)
-      return TimeoutMs;
-    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    *Options.Deadline - Clock::now())
-                    .count();
-    return Left <= 0 ? 0 : std::min(TimeoutMs, static_cast<uint64_t>(Left));
+  // When a process started now must be done: after \p TimeoutMs, or at
+  // Options.Deadline if that comes first (never before it, so a process
+  // killed for the deadline is killed past it).
+  auto until = [&Options](uint64_t TimeoutMs) {
+    Clock::time_point T = Clock::now() + std::chrono::milliseconds(TimeoutMs);
+    return Options.Deadline ? std::min(T, *Options.Deadline) : T;
+  };
+  // The milliseconds a process started now has, for diagnostics.
+  auto budgetMs = [](Clock::time_point Until) {
+    return std::to_string(std::max<int64_t>(
+        0, std::chrono::duration_cast<std::chrono::milliseconds>(
+               Until - Clock::now())
+               .count()));
   };
 
   std::string CC = Options.Compiler.empty() ? probeCompiler()
@@ -420,15 +425,17 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
     A.insert(A.end(), {"-o", Bin, Src, "-lm"});
     return A;
   };
-  uint64_t CompileMs = capped(Options.CompileTimeoutMs);
+  Clock::time_point CompileUntil = until(Options.CompileTimeoutMs);
+  std::string CompileMs = budgetMs(CompileUntil);
   ProcResult C =
-      runProcess(CompileArgv(Options.OpenMP), CompileMs, CompileEnvOrNull);
+      runProcess(CompileArgv(Options.OpenMP), CompileUntil, CompileEnvOrNull);
   std::string Note;
   if (Options.OpenMP && C.Started && !C.TimedOut && C.ExitCode != 0 &&
       !C.ExecFailed) {
     // Some host compilers lack libomp; fall back to serial.
-    CompileMs = capped(Options.CompileTimeoutMs);
-    C = runProcess(CompileArgv(false), CompileMs, CompileEnvOrNull);
+    CompileUntil = until(Options.CompileTimeoutMs);
+    CompileMs = budgetMs(CompileUntil);
+    C = runProcess(CompileArgv(false), CompileUntil, CompileEnvOrNull);
     Note = " (OpenMP unavailable; compiled serial)";
   }
   if (!C.Started || C.ExecFailed)
@@ -436,19 +443,20 @@ NativeResult irlt::cgen::runNative(const std::string &Program,
                 "compiler '" + CC + "' could not be executed");
   if (C.TimedOut)
     return fail(NativeStatus::CompileError,
-                "compilation exceeded " + std::to_string(CompileMs) + " ms");
+                "compilation exceeded " + CompileMs + " ms");
   if (C.ExitCode != 0)
     return fail(NativeStatus::CompileError,
                 "compiler exited " + std::to_string(C.ExitCode) + ": " +
                     excerpt(C.Output));
 
   // Run.
-  uint64_t RunMs =
-      capped(Options.RunTimeoutMs * std::max(Options.Sections, 1u));
+  Clock::time_point RunUntil =
+      until(Options.RunTimeoutMs * std::max(Options.Sections, 1u));
+  std::string RunMs = budgetMs(RunUntil);
   // Spinning OpenMP workers stretch a 2-4 ms harness run to 24-59 ms.
   std::vector<std::string> Env =
       environmentWith("OMP_WAIT_POLICY", "passive", /*Keep=*/true);
-  ProcResult Run = runProcess({Bin}, RunMs, &Env);
+  ProcResult Run = runProcess({Bin}, RunUntil, &Env);
   if (!Run.Started)
     return fail(NativeStatus::RunError, "could not start " + Bin);
 

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 using namespace irlt;
 
 namespace {
@@ -195,6 +197,24 @@ TEST(NativeRunner, MissingSectionLineIsBadOutput) {
   EXPECT_EQ(R.Sections[0].Status, cgen::NativeStatus::Ok);
   EXPECT_EQ(R.Sections[1].Status, cgen::NativeStatus::BadOutput)
       << R.Sections[1].Detail;
+}
+
+TEST(NativeRunner, DeadlineKillsTheRunNoEarlierThanTheDeadline) {
+  if (hostCompiler().empty())
+    GTEST_SKIP() << "no host C compiler";
+  // The caller reads "the deadline has passed" as "cut short": a kill
+  // for the deadline must not come before it.
+  cgen::NativeRunOptions Opts;
+  Opts.Compiler = hostCompiler();
+  Opts.OpenMP = false;
+  auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  Opts.Deadline = Deadline;
+  cgen::NativeResult R =
+      cgen::runNative("int main(void) { for (;;) { } return 0; }\n", Opts);
+  EXPECT_EQ(R.Status, cgen::NativeStatus::RunTimeout)
+      << cgen::nativeStatusName(R.Status) << ": " << R.Detail;
+  EXPECT_GE(std::chrono::steady_clock::now(), Deadline);
 }
 
 TEST(NativeRunner, StatusNamesAreStable) {
